@@ -61,7 +61,7 @@ let bench_instance ~n_sites ~n_requests ~n_commodities =
 
 let full_run (module A : Omflp_core.Algo_intf.ALGO) inst () =
   let t = A.create ~seed:17 (Instance.env inst) in
-  ignore (A.step_batch t inst.Instance.requests);
+  Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
   Omflp_core.Run.total_cost (A.run_so_far t)
 
 (* Serve-layer throughput: the drain loop's in-process shape — one
@@ -73,13 +73,11 @@ let serve_batch = 32
 let serve_bench_n_requests = 60
 
 let serve_bench_name =
-  Printf.sprintf "serve/session PD-OMFLP-FAST (n=%d, batch=%d)"
+  Printf.sprintf "serve/session PD-OMFLP (n=%d, batch=%d)"
     serve_bench_n_requests serve_batch
 
 let serve_full_run inst () =
-  let algo =
-    (module Omflp_core.Pd_omflp_fast : Omflp_core.Algo_intf.ALGO)
-  in
+  let algo = (module Omflp_core.Pd_omflp : Omflp_core.Algo_intf.ALGO) in
   let s = Omflp_serve.Session.create ~algo ~seed:17 (Instance.env inst) in
   let reqs = inst.Instance.requests in
   let n = Array.length reqs in
@@ -189,16 +187,15 @@ let algo_benches () =
       ])
 
 let scaling_benches ~quick () =
-  (* PD and RAND as n grows: the deterministic event loop is quadratic in
-     past requests, the randomized one near-linear. *)
+  (* PD and RAND as n grows: PD's bid caches keep a request's work
+     independent of the history except at facility openings, which
+     revisit every past request; RAND is near-linear. *)
   List.concat_map
     (fun n_requests ->
       let inst = bench_instance ~n_sites:12 ~n_requests ~n_commodities:8 in
       [
         Test.make ~name:(Printf.sprintf "E7/scaling PD n=%d" n_requests)
           (Staged.stage (full_run (module Omflp_core.Pd_omflp) inst));
-        Test.make ~name:(Printf.sprintf "E7/scaling PD-FAST n=%d" n_requests)
-          (Staged.stage (full_run (module Omflp_core.Pd_omflp_fast) inst));
         Test.make ~name:(Printf.sprintf "E7/scaling RAND n=%d" n_requests)
           (Staged.stage (full_run (module Omflp_core.Rand_omflp) inst));
       ])
@@ -385,7 +382,6 @@ let run_work_counters ~quick () =
     [
       ( Omflp_core.Pd_omflp.name,
         (module Omflp_core.Pd_omflp : Omflp_core.Algo_intf.ALGO) );
-      (Omflp_core.Pd_omflp_fast.name, (module Omflp_core.Pd_omflp_fast));
       (Omflp_core.Rand_omflp.name, (module Omflp_core.Rand_omflp));
     ];
   Omflp_obs.Metrics.reset ();
@@ -413,9 +409,6 @@ let run_allocations () =
     [
       ( "PD-OMFLP full-run (n=60)",
         fun () -> ignore (full_run (module Omflp_core.Pd_omflp) inst ()) );
-      ( "PD-OMFLP-FAST full-run (n=60)",
-        fun () -> ignore (full_run (module Omflp_core.Pd_omflp_fast) inst ())
-      );
       ( "RAND-OMFLP full-run (n=60)",
         fun () -> ignore (full_run (module Omflp_core.Rand_omflp) inst ()) );
       ( "GREEDY full-run (n=60)",
@@ -510,9 +503,16 @@ type regression = {
 
 type gate_report = {
   compared : int;
-  skipped : int;  (** current rows with no (numeric) baseline row *)
+  skipped : string list;  (** current rows with no (numeric) baseline row *)
+  unmatched : string list;  (** baseline rows no current row was compared to *)
   regressions : regression list;
 }
+
+(* Baseline names left out of the comparison, in baseline order. *)
+let unmatched_names baseline ~compared =
+  List.filter_map
+    (fun (name, _) -> if List.mem name compared then None else Some name)
+    baseline
 
 (* Reads the [benchmarks] rows of an [omflp.bench.v1] file into
    [(name, ns_per_run)] pairs, dropping [null] estimates. *)
@@ -550,32 +550,46 @@ let vacuous_error ~baseline_path ~n_rows ~skipped =
 
 let compare_baseline ~baseline_path ~max_regression bench_rows =
   Result.bind (read_baseline baseline_path) (fun baseline ->
-      let compared = ref 0 and skipped = ref 0 and regs = ref [] in
+      let compared = ref [] and skipped = ref [] and regs = ref [] in
       List.iter
         (fun (name, est) ->
           match (est, List.assoc_opt name baseline) with
           | Some current_ns, Some baseline_ns when baseline_ns > 0.0 ->
-              incr compared;
+              compared := name :: !compared;
               let ratio = current_ns /. baseline_ns in
               if ratio > 1.0 +. max_regression then
                 regs :=
                   { reg_name = name; baseline_ns; current_ns; ratio } :: !regs
-          | _ -> incr skipped)
+          | _ -> skipped := name :: !skipped)
         bench_rows;
       (* A gate that compared nothing proves nothing: every row silently
          skipping (renamed benchmarks, an empty or foreign baseline) used
          to report OK. Make it a hard failure. *)
-      if !compared = 0 then
+      if !compared = [] then
         Error
           (vacuous_error ~baseline_path ~n_rows:(List.length bench_rows)
-             ~skipped:!skipped)
+             ~skipped:(List.length !skipped))
       else
         Ok
           {
-            compared = !compared;
-            skipped = !skipped;
+            compared = List.length !compared;
+            skipped = List.rev !skipped;
+            unmatched = unmatched_names baseline ~compared:!compared;
             regressions = List.rev !regs;
           })
+
+(* Every skipped row by name, in both directions: a renamed or dropped
+   benchmark must be visible in the gate output, not just counted. *)
+let print_gate_summary ~baseline_path ~threshold report =
+  Printf.printf
+    "baseline %s: %d row(s) compared, %d current row(s) without a baseline \
+     row, %d baseline row(s) not measured, threshold +%.0f%%\n"
+    baseline_path report.compared
+    (List.length report.skipped)
+    (List.length report.unmatched)
+    (100.0 *. threshold);
+  List.iter (Printf.printf "  skipped, no baseline row: %s\n") report.skipped;
+  List.iter (Printf.printf "  skipped, not measured: %s\n") report.unmatched
 
 let run_gate ~baseline_path ~max_regression bench_rows =
   print_endline "";
@@ -587,9 +601,7 @@ let run_gate ~baseline_path ~max_regression bench_rows =
       Printf.printf "GATE ERROR: %s\n" msg;
       2
   | Ok report ->
-      Printf.printf
-        "baseline %s: %d row(s) compared, %d skipped, threshold +%.0f%%\n"
-        baseline_path report.compared report.skipped (100.0 *. max_regression);
+      print_gate_summary ~baseline_path ~threshold:max_regression report;
       if report.regressions = [] then begin
         print_endline "gate: OK (no row regressed past the threshold)";
         0
@@ -659,12 +671,12 @@ let read_alloc_baseline path =
    [baseline_ns]/[current_ns] fields hold minor words per request. *)
 let compare_allocations ~baseline_path alloc_rows =
   Result.bind (read_alloc_baseline baseline_path) (fun baseline ->
-      let compared = ref 0 and skipped = ref 0 and regs = ref [] in
+      let compared = ref [] and skipped = ref [] and regs = ref [] in
       List.iter
         (fun (name, current) ->
           match List.assoc_opt name baseline with
           | Some base when base > 0.0 ->
-              incr compared;
+              compared := name :: !compared;
               let ratio = current /. base in
               if ratio > 1.0 +. alloc_max_growth then
                 regs :=
@@ -675,19 +687,20 @@ let compare_allocations ~baseline_path alloc_rows =
                     ratio;
                   }
                   :: !regs
-          | _ -> incr skipped)
+          | _ -> skipped := name :: !skipped)
         alloc_rows;
-      if !compared = 0 then
+      if !compared = [] then
         Error
           (Printf.sprintf
              "vacuous allocation comparison: 0 of %d row(s) matched baseline \
               %s (%d skipped) — wrong, empty, or stale baseline file"
-             (List.length alloc_rows) baseline_path !skipped)
+             (List.length alloc_rows) baseline_path (List.length !skipped))
       else
         Ok
           {
-            compared = !compared;
-            skipped = !skipped;
+            compared = List.length !compared;
+            skipped = List.rev !skipped;
+            unmatched = unmatched_names baseline ~compared:!compared;
             regressions = List.rev !regs;
           })
 
@@ -701,10 +714,7 @@ let run_alloc_gate ~baseline_path alloc_rows =
       Printf.printf "GATE ERROR: %s\n" msg;
       2
   | Ok report ->
-      Printf.printf
-        "baseline %s: %d row(s) compared, %d skipped, threshold +%.0f%%\n"
-        baseline_path report.compared report.skipped
-        (100.0 *. alloc_max_growth);
+      print_gate_summary ~baseline_path ~threshold:alloc_max_growth report;
       if report.regressions = [] then begin
         print_endline "allocation gate: OK (no workload grew past the threshold)";
         0

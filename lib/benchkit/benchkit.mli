@@ -70,7 +70,9 @@ type regression = {
 
 type gate_report = {
   compared : int;
-  skipped : int;  (** current rows with no (numeric) baseline row *)
+  skipped : string list;  (** current rows with no (numeric) baseline row *)
+  unmatched : string list;
+      (** baseline rows no current row was compared to, in baseline order *)
   regressions : regression list;
 }
 
@@ -84,8 +86,9 @@ val vacuous_error : baseline_path:string -> n_rows:int -> skipped:int -> string
 
 (** [compare_baseline ~baseline_path ~max_regression rows] diffs the
     current rows against the baseline by benchmark name (intersection
-    only: rows missing on either side are counted as [skipped], never
-    failed). A row regresses when [current > baseline * (1 + max_regression)].
+    only: rows missing on either side are listed by name in [skipped] /
+    [unmatched], never failed; the gate prints every one). A row
+    regresses when [current > baseline * (1 + max_regression)].
     An empty intersection ([compared = 0]) is a hard [Error]
     ({!vacuous_error}) — a gate that compared nothing must not pass. *)
 val compare_baseline :

@@ -18,8 +18,10 @@
       are dual-feasible ({!Omflp_core.Dual_checker});
     - {b weak-duality}: [γ · Σ a_re] never exceeds the cost of a concrete
       feasible offline solution;
-    - {b fast-equiv}: [Pd_omflp_fast] is decision-identical to
-      [Pd_omflp] and agrees on cost up to float-summation noise;
+    - {b bid-cache}: PD-OMFLP's maintained constraint-(3)/(4) bid sums
+      agree with a from-scratch summation
+      ({!Omflp_core.Pd_omflp.cache_drift}) up to float noise relative to
+      its dual objective;
     - {b resume}: snapshotting at the midpoint and restoring from the
       blob ({!Omflp_core.Algo_intf.ALGO.snapshot}) reproduces the
       uninterrupted run byte-identically — the serving layer's
@@ -49,12 +51,6 @@ val default_algos : unit -> (string * Omflp_core.Algo_intf.packed) list
     iff the runs are observationally identical; used for the determinism
     checks (same seed twice, pool jobs 1 vs N). *)
 val run_digest : Omflp_core.Run.t -> string
-
-(** [decision_digest run] is {!run_digest} without the algorithm name and
-    without floats — the pure decision sequence, equal across
-    [Pd_omflp]/[Pd_omflp_fast] whose costs differ only in summation
-    order. *)
-val decision_digest : Omflp_core.Run.t -> string
 
 (** [check_instance ?algos ?seed inst] runs every check against every
     algorithm of [algos] (default {!default_algos}) and returns all

@@ -28,16 +28,6 @@ module type ALGO = sig
       as needed) and returns the service decision. *)
   val step : t -> Omflp_instance.Request.t -> Service.t
 
-  (** [step_batch t requests] serves a block of requests in array order
-      and returns one decision per request, positionally. The contract is
-      strict sequential equivalence: decisions, facility ids, cost
-      floats, metrics, and traces are exactly those of folding {!step}
-      over the array — implementations may only amortize work that is a
-      pure function of the inputs (metric row materialization, bounds
-      checks), never reorder or fuse the serving itself. The default
-      implementation is {!batch_of_step}. *)
-  val step_batch : t -> Omflp_instance.Request.t array -> Service.t array
-
   (** [run_so_far t] snapshots facilities, services, and costs. *)
   val run_so_far : t -> Run.t
 
@@ -66,17 +56,3 @@ module type ALGO = sig
 end
 
 type packed = (module ALGO)
-
-(** Default batch stepping: a left-to-right fold of [step] (explicit loop
-    — [Array.map]'s evaluation order is unspecified and the steps are
-    effectful). *)
-let batch_of_step ~step t reqs =
-  let n = Array.length reqs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (step t reqs.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- step t reqs.(i)
-    done;
-    out
-  end

@@ -74,8 +74,6 @@ let step t (r : Request.t) =
   t.n_requests <- t.n_requests + 1;
   service
 
-let step_batch t reqs = Algo_intf.batch_of_step ~step t reqs
-
 let run_so_far t = Run.of_store ~algorithm:name t.store
 let store t = t.store
 

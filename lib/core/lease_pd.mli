@@ -12,10 +12,6 @@ val family : Omflp_instance.Problem_env.Family.t
 val create : ?seed:int -> Omflp_instance.Problem_env.t -> t
 val step : t -> Omflp_instance.Request.t -> Service.t
 
-(** Batch variant of {!step}; decisions are exactly those of folding
-    [step] left to right. *)
-val step_batch : t -> Omflp_instance.Request.t array -> Service.t array
-
 val run_so_far : t -> Run.t
 val store : t -> Facility_store.t
 

@@ -4,13 +4,12 @@ open Omflp_metric
 open Omflp_instance
 open Omflp_obs
 
-(* Work counters (lib/obs): shared by the recomputing and incremental
-   modes (PD-OMFLP and PD-OMFLP-FAST run the identical event loop).
-   [pd.loop_iters] counts event-loop iterations, which fire exactly one
-   tightness event each, so it always equals the sum of the four
-   [pd.event.*] counters; [pd.facilities_opened] counts confirmed
-   openings only (trace [Opened_small] events of a request that ended in
-   a large facility are discarded tentatives). *)
+(* Work counters (lib/obs). [pd.loop_iters] counts event-loop
+   iterations, which fire exactly one tightness event each, so it always
+   equals the sum of the four [pd.event.*] counters;
+   [pd.facilities_opened] counts confirmed openings only (trace
+   [Opened_small] events of a request that ended in a large facility are
+   discarded tentatives). *)
 let m_requests = Metrics.counter "pd.requests"
 
 let m_loop_iters = Metrics.counter "pd.loop_iters"
@@ -54,7 +53,7 @@ let[@inline] pos x = if x > 0.0 then x else 0.0
    its per-commodity duals and bid caps in the flat rows
    [j*s .. j*s + s - 1] of [p_duals]/[p_caps] ([caps] holds, per demanded
    commodity, the value min{a_je, d(F(e), j)} currently accounted in the
-   incremental bid caches; [cap4] the min{Σ a_je, d(F̂, j)} analogue).
+   bid caches; [cap4] the min{Σ a_je, d(F̂, j)} analogue).
    Every history walk runs newest-first ([for j = n_past-1 downto 0]) to
    preserve the float summation order of the previous cons-list
    representation, which the golden decision digests pin. *)
@@ -73,12 +72,10 @@ type t = {
   mutable p_caps : float array; (* flat n_past x s *)
   mutable trace_rev : fired list list;
   mutable n_requests : int;
-  (* Incremental mode: bid sums are maintained across arrivals instead of
-     being recomputed from the whole history. [b3_cache.(e*n_sites + m)]
-     is the constraint-(3) bid sum of all past requests towards a small
-     facility {e} at site m; [b4_cache.(m)] the constraint-(4)
-     analogue. *)
-  incremental : bool;
+  (* Bid sums of all past requests, maintained across arrivals (they only
+     move when a facility opens): [b3_cache.(e*n_sites + m)] is the
+     constraint-(3) bid sum towards a small facility {e} at site m;
+     [b4_cache.(m)] the constraint-(4) analogue. *)
   b3_cache : float array;
   b4_cache : float array;
   (* Hot-path tables and scratch, set up once at creation.
@@ -88,17 +85,14 @@ type t = {
      [Cost_function.singleton_cost] allocates a fresh commodity set per
      call, so the table turns an allocating closure dispatch into an
      array read (identical float values — the cost function is pure).
-     The [scratch_*] buffers and recompute-mode bid accumulators
-     ([b3_scratch] rows indexed by position in the request's demand) are
-     reused across [step] calls; the request's own duals and caps are
-     written directly into their [p_duals]/[p_caps] rows, so a step
-     allocates nothing on the event path. [scratch_fb] carries floats
+     The [scratch_*] buffers are reused across [step] calls; the
+     request's own duals and caps are written directly into their
+     [p_duals]/[p_caps] rows, so a step allocates nothing on the event
+     path. [scratch_fb] carries floats
      across the [consider] call boundary unboxed: slot 0 the candidate
      delta, slot 1 the best delta, slot 2 the running dual sum. *)
   f3 : float array option array;
   f4 : float array;
-  b3_scratch : float array;
-  b4_scratch : float array;
   scratch_es : int array;
   scratch_serving_kind : int array; (* 0 unserved / 1 existing / 2 temp *)
   scratch_serving_id : int array; (* facility id (1) or temp site (2) *)
@@ -109,7 +103,7 @@ type t = {
 let name = "PD-OMFLP"
 let family = Problem_env.Family.Omflp
 
-let create_mode ~incremental env =
+let create ?seed:_ env =
   let metric, cost = Problem_env.require_omflp ~algo:name env in
   let n_commodities = Cost_function.n_commodities cost in
   let n_sites = Finite_metric.size metric in
@@ -128,24 +122,16 @@ let create_mode ~incremental env =
     p_caps = [||];
     trace_rev = [];
     n_requests = 0;
-    incremental;
-    b3_cache =
-      (if incremental then Array.make (n_commodities * n_sites) 0.0 else [||]);
-    b4_cache = (if incremental then Array.make n_sites 0.0 else [||]);
+    b3_cache = Array.make (n_commodities * n_sites) 0.0;
+    b4_cache = Array.make n_sites 0.0;
     f3 = Array.make n_commodities None;
     f4 = Array.init n_sites (fun m -> Cost_function.full_cost cost m);
-    b3_scratch =
-      (if incremental then [||] else Array.make (n_commodities * n_sites) 0.0);
-    b4_scratch = (if incremental then [||] else Array.make n_sites 0.0);
     scratch_es = Array.make n_commodities 0;
     scratch_serving_kind = Array.make n_commodities 0;
     scratch_serving_id = Array.make n_commodities (-1);
     scratch_unserved = Array.make n_commodities 0;
     scratch_fb = Array.make 3 0.0;
   }
-
-let create ?seed:_ env = create_mode ~incremental:false env
-let create_incremental ?seed:_ env = create_mode ~incremental:true env
 
 let ensure_past_capacity t =
   let cap = Array.length t.p_site in
@@ -176,50 +162,52 @@ let ensure_past_capacity t =
     t.p_caps <- grow_float t.p_caps (cap * t.s) (ncap * t.s)
   end
 
-(* Incremental maintenance: a newly opened facility at [fs] offering [o]
-   can only shrink past caps — min{a, d(F(e), j)} becomes
-   min{old cap, d(j, fs)} — so each affected (request, commodity) adjusts
-   the caches by the difference of its contribution. The walk is
-   newest-first, matching the old cons-list order. *)
-let note_facility_opened t ~fs ~offered =
-  if t.incremental then begin
-    let n_sites = t.n_sites in
-    let offers_all = Cset.is_full offered in
-    let b3 = t.b3_cache and b4 = t.b4_cache in
-    for j = t.n_past - 1 downto 0 do
-      (* One metric row covers every distance from this past request:
-         row_j.(x) = d(j, x), the exact orientation the per-cell [dist]
-         calls used. *)
-      let row_j = Finite_metric.row t.metric t.p_site.(j) in
-      let d_jf = row_j.(fs) in
-      let cbase = j * t.s in
-      Cset.iter
-        (fun e ->
-          if Cset.mem offered e && d_jf < t.p_caps.(cbase + e) then begin
-            let old_cap = t.p_caps.(cbase + e) in
-            let bb = e * n_sites in
-            for m = 0 to n_sites - 1 do
-              let d = row_j.(m) in
-              b3.(bb + m) <-
-                b3.(bb + m) +. pos (d_jf -. d)
-                -. pos (old_cap -. d)
-            done;
-            Metrics.add m_cache_updates n_sites;
-            t.p_caps.(cbase + e) <- d_jf
-          end)
-        t.p_demand.(j);
-      if offers_all && d_jf < t.p_cap4.(j) then begin
-        let old_cap = t.p_cap4.(j) in
+(* Cache maintenance: a newly opened facility at [fs] can only shrink
+   past caps — min{a, d(F(e), j)} becomes min{old cap, d(j, fs)} — so
+   each affected (request, commodity) adjusts the caches by the
+   difference of its contribution. Only the opened configuration's
+   commodities can move, so a small facility {e} visits commodity e
+   alone. The walk is newest-first, matching the old cons-list order. *)
+let note_facility_opened t (fac : Facility.t) =
+  let n_sites = t.n_sites in
+  let fs = fac.site and offered = fac.offered in
+  let e_lo, e_hi =
+    match fac.kind with Facility.Small e -> (e, e) | _ -> (0, t.s - 1)
+  in
+  let offers_all = Cset.is_full offered in
+  let b3 = t.b3_cache and b4 = t.b4_cache in
+  for j = t.n_past - 1 downto 0 do
+    (* One metric row covers every distance from this past request:
+       row_j.(x) = d(j, x), the exact orientation the per-cell [dist]
+       calls used. *)
+    let row_j = Finite_metric.row t.metric t.p_site.(j) in
+    let d_jf = row_j.(fs) in
+    let dem = t.p_demand.(j) in
+    let cbase = j * t.s in
+    for e = e_lo to e_hi do
+      if
+        Cset.mem dem e && Cset.mem offered e && d_jf < t.p_caps.(cbase + e)
+      then begin
+        let old_cap = t.p_caps.(cbase + e) in
+        let bb = e * n_sites in
         for m = 0 to n_sites - 1 do
           let d = row_j.(m) in
-          b4.(m) <-
-            b4.(m) +. pos (d_jf -. d) -. pos (old_cap -. d)
+          b3.(bb + m) <- b3.(bb + m) +. pos (d_jf -. d) -. pos (old_cap -. d)
         done;
         Metrics.add m_cache_updates n_sites;
-        t.p_cap4.(j) <- d_jf
+        t.p_caps.(cbase + e) <- d_jf
       end
-    done
-  end
+    done;
+    if offers_all && d_jf < t.p_cap4.(j) then begin
+      let old_cap = t.p_cap4.(j) in
+      for m = 0 to n_sites - 1 do
+        let d = row_j.(m) in
+        b4.(m) <- b4.(m) +. pos (d_jf -. d) -. pos (old_cap -. d)
+      done;
+      Metrics.add m_cache_updates n_sites;
+      t.p_cap4.(j) <- d_jf
+    end
+  done
 
 let f3_row t e =
   match t.f3.(e) with
@@ -243,7 +231,7 @@ let open_facility t ~site ~kind =
       ~opened_at:t.n_requests
   in
   Metrics.incr m_facilities_opened;
-  note_facility_opened t ~fs:site ~offered:fac.Facility.offered;
+  note_facility_opened t fac;
   fac
 
 let step t (r : Request.t) =
@@ -278,47 +266,11 @@ let step t (r : Request.t) =
   let nid = Nearest_index.flat_id idx in
   let ndl = Nearest_index.dist_large_row idx in
   let nil = Nearest_index.id_large_row idx in
-  let inc = t.incremental in
-  (* Per-arrival-constant bid sums of past requests (constraints (3) and
-     (4)); facilities only open once processing ends, so the caps
-     min{a_je, d(F(e), j)} and min{Σa_je, d(F̂, j)} do not move.
-     Incremental mode reads them off the maintained caches; otherwise they
-     are recomputed from the whole history into the reusable scratch
-     accumulators. The recompute walks the history newest-first with the
-     per-(request, commodity) cap hoisted out of the site loop, which
-     adds exactly the same sequence of terms to each cell as the
-     historical per-cell fold — the float sums are bit-identical. *)
-  let b3_all, b4 =
-    if inc then (t.b3_cache, t.b4_cache)
-    else begin
-      let b3 = t.b3_scratch and b4 = t.b4_scratch in
-      Array.fill b3 0 (k_total * n_sites) 0.0;
-      Array.fill b4 0 n_sites 0.0;
-      for j = t.n_past - 1 downto 0 do
-        let jsite = t.p_site.(j) in
-        let row_j = Finite_metric.row t.metric jsite in
-        let dem = t.p_demand.(j) in
-        let dbase = j * s in
-        for i = 0 to k_total - 1 do
-          let e = es.(i) in
-          if Cset.mem dem e then begin
-            let cap =
-              Float.min t.p_duals.(dbase + e) nd.((e * n_sites) + jsite)
-            in
-            let bb = i * n_sites in
-            for m = 0 to n_sites - 1 do
-              b3.(bb + m) <- b3.(bb + m) +. pos (cap -. row_j.(m))
-            done
-          end
-        done;
-        let cap4 = Float.min t.p_dual_sum.(j) ndl.(jsite) in
-        for m = 0 to n_sites - 1 do
-          b4.(m) <- b4.(m) +. pos (cap4 -. row_j.(m))
-        done
-      done;
-      (b3, b4)
-    end
-  in
+  (* Bid sums of past requests (constraints (3) and (4)) are constant
+     during one arrival: facilities only open once processing ends, so the
+     caps min{a_je, d(F(e), j)} and min{Σa_je, d(F̂, j)} do not move, and
+     the maintained caches are read as they stand. *)
+  let b3 = t.b3_cache and b4 = t.b4_cache in
   let fb = t.scratch_fb in
   fb.(2) <- 0.0 (* Σ a_re so far *);
   let large_kind = ref 0 (* 0 none / 1 existing / 2 new *) in
@@ -328,8 +280,7 @@ let step t (r : Request.t) =
   (* Indices into [es] still unserved, in ascending order — compacted in
      place after every event instead of rebuilt as a fresh list per loop
      iteration (the loop body only serves commodities, so compaction
-     preserves the iteration order the recomputing/incremental parity
-     depends on). *)
+     preserves the ascending iteration order the tie-breaks depend on). *)
   let unserved = t.scratch_unserved in
   for i = 0 to k_total - 1 do
     unserved.(i) <- i
@@ -354,12 +305,12 @@ let step t (r : Request.t) =
          E4 open-large = 3 — connections and small facilities, the
          paper's lines 3–5, before large ones, lines 6–9), then by
          commodity index, then by site. Deltas within a relative 1e-9 of
-         each other count as tied, so tie-breaking is stable under the
-         float-summation-order differences between the recomputing and
-         incremental bid modes (integer-valued cost functions produce
-         exact (3)-vs-(4) ties all the time). The candidate delta enters
-         [consider] through fb.(0) and the best lives in fb.(1): int-only
-         arguments keep the floats unboxed across the call. *)
+         each other count as tied, so tie-breaking does not hinge on the
+         rounding noise between the maintained bid caches and a fresh
+         summation of the same bids (integer-valued cost functions
+         produce exact (3)-vs-(4) ties all the time). The candidate delta
+         enters [consider] through fb.(0) and the best lives in fb.(1):
+         int-only arguments keep the floats unboxed across the call. *)
       let has_best = ref false in
       let best_rank = ref 0 and best_i = ref 0 and best_m = ref 0 in
       let consider rank i m =
@@ -404,13 +355,13 @@ let step t (r : Request.t) =
           consider 0 i 0
         end;
         let f3e = f3_row t e in
-        let bb = if inc then e * n_sites else i * n_sites in
+        let bb = e * n_sites in
         for m = 0 to n_sites - 1 do
           (* Tight when (a_re - d(m,r))+ + B3 = f: the own bid must be
              active, i.e. a_re reaches d(m,r) + (f - B3)+. Waiting until
              then never violates the constraint because B3 <= f holds at
              every arrival. *)
-          let target = d_rm.(m) +. pos (f3e.(m) -. b3_all.(bb + m)) in
+          let target = d_rm.(m) +. pos (f3e.(m) -. b3.(bb + m)) in
           fb.(0) <- target -. ae;
           consider 1 i m
         done
@@ -502,32 +453,24 @@ let step t (r : Request.t) =
   in
   Facility_store.record_service t.store ~request_site:r.site service;
   (* Record the request's bid caps (capped by the post-opening facility
-     distances — the index rows already reflect this step's openings); in
-     incremental mode also add its contributions to the caches. *)
+     distances — the index rows already reflect this step's openings) and
+     add its contributions to the caches; d_rm.(m) = d(r, m). *)
   let caps = t.p_caps in
-  Cset.iter
-    (fun e ->
-      caps.(abase + e) <-
-        Float.min duals.(abase + e) nd.((e * n_sites) + r.site))
-    r.demand;
-  let cap4 = Float.min fb.(2) ndl.(r.site) in
-  if inc then begin
-    (* d_rm is r's metric row, so d_rm.(m) = d(r, m) as before. *)
-    Cset.iter
-      (fun e ->
-        let bb = e * n_sites in
-        let cap_e = caps.(abase + e) in
-        for m = 0 to n_sites - 1 do
-          t.b3_cache.(bb + m) <-
-            t.b3_cache.(bb + m) +. pos (cap_e -. d_rm.(m))
-        done;
-        Metrics.add m_cache_updates n_sites)
-      r.demand;
+  for i = 0 to k_total - 1 do
+    let e = es.(i) in
+    let cap_e = Float.min duals.(abase + e) nd.((e * n_sites) + r.site) in
+    caps.(abase + e) <- cap_e;
+    let bb = e * n_sites in
     for m = 0 to n_sites - 1 do
-      t.b4_cache.(m) <- t.b4_cache.(m) +. pos (cap4 -. d_rm.(m))
+      b3.(bb + m) <- b3.(bb + m) +. pos (cap_e -. d_rm.(m))
     done;
     Metrics.add m_cache_updates n_sites
-  end;
+  done;
+  let cap4 = Float.min fb.(2) ndl.(r.site) in
+  for m = 0 to n_sites - 1 do
+    b4.(m) <- b4.(m) +. pos (cap4 -. d_rm.(m))
+  done;
+  Metrics.add m_cache_updates n_sites;
   t.p_site.(t.n_past) <- r.site;
   t.p_demand.(t.n_past) <- r.demand;
   t.p_dual_sum.(t.n_past) <- fb.(2);
@@ -537,23 +480,6 @@ let step t (r : Request.t) =
   t.n_requests <- t.n_requests + 1;
   Metrics.incr m_requests;
   service
-
-let step_batch t reqs =
-  (* Warm the block's metric rows once up front; each step (and its
-     history recompute) then hits the memoized rows. Decisions are
-     identical to stepping one by one — the rows are pure. *)
-  Array.iter
-    (fun (r : Request.t) -> ignore (Finite_metric.row t.metric r.site))
-    reqs;
-  let n = Array.length reqs in
-  if n = 0 then [||]
-  else begin
-    let out = Array.make n (step t reqs.(0)) in
-    for i = 1 to n - 1 do
-      out.(i) <- step t reqs.(i)
-    done;
-    out
-  end
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
 
@@ -585,14 +511,16 @@ let store t = t.store
 
 (* ---------- snapshot / restore ---------- *)
 
-(* Persisted state: the request history with its frozen duals and bid
-   caps, the store, the event trace, and — in incremental mode — the
-   maintained bid caches, serialized verbatim. The caches are NOT
-   rebuilt from the history on restore: they were produced by a
-   particular interleaving of additions and cap adjustments whose float
-   rounding a fresh summation would not reproduce, and byte-identical
-   continuation requires their exact values. Scratch buffers and the
-   pure cost tables (f3/f4) are rebuilt by [create_mode]. *)
+(* Persisted state: a mode byte, the request history with its frozen
+   duals and bid caps, the store, the event trace, and the maintained bid
+   caches, serialized verbatim. The caches are NOT rebuilt from the
+   history on restore: they were produced by a particular interleaving
+   of additions and cap adjustments whose float rounding a fresh
+   summation would not reproduce, and byte-identical continuation
+   requires their exact values. The mode byte is always [true]; [false]
+   marks a blob of the retired recomputing mode, which carries no caches
+   and is refused. Scratch buffers and the pure cost tables (f3/f4) are
+   rebuilt by [create]. *)
 
 let snapshot_tag = "omflp.snap.pd-omflp.v2"
 
@@ -640,7 +568,7 @@ let r_fired r =
 
 let snapshot t =
   Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
-      Snapshot_codec.w_bool b t.incremental;
+      Snapshot_codec.w_bool b true;
       Facility_store.write_persisted b (Facility_store.persist t.store);
       let n = t.n_past in
       Snapshot_codec.w_int b n;
@@ -656,21 +584,18 @@ let snapshot t =
       Snapshot_codec.w_float_array b (Array.sub t.p_caps 0 (n * t.s));
       Snapshot_codec.w_list (Snapshot_codec.w_list w_fired) b t.trace_rev;
       Snapshot_codec.w_int b t.n_requests;
-      if t.incremental then begin
-        Snapshot_codec.w_float_array b t.b3_cache;
-        Snapshot_codec.w_float_array b t.b4_cache
-      end)
+      Snapshot_codec.w_float_array b t.b3_cache;
+      Snapshot_codec.w_float_array b t.b4_cache)
 
-let restore_mode ~incremental env blob =
+let restore env blob =
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
-      let z_incremental = Snapshot_codec.r_bool r in
-      if z_incremental <> incremental then
+      if not (Snapshot_codec.r_bool r) then
         failwith
-          (Printf.sprintf "Pd_omflp.restore: snapshot is from the %s mode"
-             (if z_incremental then "incremental" else "recomputing"));
+          "Pd_omflp.restore: snapshot is from the retired recomputing mode \
+           (no bid caches)";
       let z_store = Facility_store.read_persisted r in
-      let t = create_mode ~incremental env in
+      let t = create env in
       let n = Snapshot_codec.r_int r in
       if n < 0 then failwith "Pd_omflp.restore: negative history length";
       let sites = Array.make (max n 1) 0 in
@@ -699,16 +624,14 @@ let restore_mode ~incremental env blob =
       then failwith "Pd_omflp.restore: inconsistent history arrays";
       let trace_rev = Snapshot_codec.r_list (Snapshot_codec.r_list r_fired) r in
       let n_requests = Snapshot_codec.r_int r in
-      if incremental then begin
-        let b3 = Snapshot_codec.r_float_array r in
-        let b4 = Snapshot_codec.r_float_array r in
-        if
-          Array.length b3 <> Array.length t.b3_cache
-          || Array.length b4 <> Array.length t.b4_cache
-        then failwith "Pd_omflp.restore: bid cache size mismatch";
-        Array.blit b3 0 t.b3_cache 0 (Array.length b3);
-        Array.blit b4 0 t.b4_cache 0 (Array.length b4)
-      end;
+      let b3 = Snapshot_codec.r_float_array r in
+      let b4 = Snapshot_codec.r_float_array r in
+      if
+        Array.length b3 <> Array.length t.b3_cache
+        || Array.length b4 <> Array.length t.b4_cache
+      then failwith "Pd_omflp.restore: bid cache size mismatch";
+      Array.blit b3 0 t.b3_cache 0 (Array.length b3);
+      Array.blit b4 0 t.b4_cache 0 (Array.length b4);
       (* Capacity is trimmed to the history (padded to 1 slot so the
          scalar and flat arrays stay in the cap/cap*s relationship);
          the next step grows it. *)
@@ -725,49 +648,39 @@ let restore_mode ~incremental env blob =
       { t with store = Facility_store.of_persisted env z_store })
     blob
 
-let restore env blob = restore_mode ~incremental:false env blob
-let restore_incremental env blob = restore_mode ~incremental:true env blob
-
 let cache_drift t =
-  if not t.incremental then 0.0
-  else begin
-    let n_sites = t.n_sites in
-    let s = t.s in
-    let drift = ref 0.0 in
-    for e = 0 to s - 1 do
-      for m = 0 to n_sites - 1 do
-        (* Newest-first fold, like the cons-list fold it replaces. *)
-        let fresh = ref 0.0 in
-        for j = t.n_past - 1 downto 0 do
-          if Cset.mem t.p_demand.(j) e then begin
-            let cap =
-              Float.min
-                t.p_duals.((j * s) + e)
-                (Facility_store.dist_offering t.store ~commodity:e
-                   ~from:t.p_site.(j))
-            in
-            fresh :=
-              !fresh
-              +. pos
-                   (cap -. Finite_metric.dist t.metric t.p_site.(j) m)
-          end
-        done;
-        drift :=
-          Float.max !drift (Float.abs (!fresh -. t.b3_cache.((e * n_sites) + m)))
-      done
-    done;
+  let n_sites = t.n_sites in
+  let s = t.s in
+  let drift = ref 0.0 in
+  for e = 0 to s - 1 do
     for m = 0 to n_sites - 1 do
+      (* Newest-first fold, like the cons-list fold it replaces. *)
       let fresh = ref 0.0 in
       for j = t.n_past - 1 downto 0 do
-        let cap =
-          Float.min t.p_dual_sum.(j)
-            (Facility_store.dist_large t.store ~from:t.p_site.(j))
-        in
-        fresh :=
-          !fresh
-          +. pos (cap -. Finite_metric.dist t.metric t.p_site.(j) m)
+        if Cset.mem t.p_demand.(j) e then begin
+          let cap =
+            Float.min
+              t.p_duals.((j * s) + e)
+              (Facility_store.dist_offering t.store ~commodity:e
+                 ~from:t.p_site.(j))
+          in
+          fresh :=
+            !fresh +. pos (cap -. Finite_metric.dist t.metric t.p_site.(j) m)
+        end
       done;
-      drift := Float.max !drift (Float.abs (!fresh -. t.b4_cache.(m)))
+      drift :=
+        Float.max !drift (Float.abs (!fresh -. t.b3_cache.((e * n_sites) + m)))
+    done
+  done;
+  for m = 0 to n_sites - 1 do
+    let fresh = ref 0.0 in
+    for j = t.n_past - 1 downto 0 do
+      let cap =
+        Float.min t.p_dual_sum.(j)
+          (Facility_store.dist_large t.store ~from:t.p_site.(j))
+      in
+      fresh := !fresh +. pos (cap -. Finite_metric.dist t.metric t.p_site.(j) m)
     done;
-    !drift
-  end
+    drift := Float.max !drift (Float.abs (!fresh -. t.b4_cache.(m)))
+  done;
+  !drift

@@ -15,7 +15,10 @@
 
     Bid sums of past requests are constant during one arrival (facilities
     only open when processing ends), so each tightness time is computed in
-    closed form. *)
+    closed form. The constraint-(3)/(4) bid sums are maintained across
+    arrivals — O(|s_r| · |M|) per recorded request plus O(affected · |M|)
+    per facility opening — instead of being recomputed from the whole
+    history on every arrival. *)
 
 type t
 
@@ -24,34 +27,20 @@ val family : Omflp_instance.Problem_env.Family.t
 
 val create : ?seed:int -> Omflp_instance.Problem_env.t -> t
 
-(** [create_incremental] runs the identical algorithm but maintains the
-    constraint-(3)/(4) bid sums incrementally across arrivals (O(|M|) per
-    recorded request plus O(affected · |M|) per facility opening) instead
-    of recomputing them from the whole history (O(|s_r| · |M| · n) per
-    arrival). Semantically equivalent up to floating-point summation
-    order; see {!Pd_omflp_fast} for the packaged algorithm module. *)
-val create_incremental : ?seed:int -> Omflp_instance.Problem_env.t -> t
-
 val step : t -> Omflp_instance.Request.t -> Service.t
-
-(** Sequentially equivalent to folding {!step}; warms the block's metric
-    rows once up front. See {!Algo_intf.ALGO.step_batch}. *)
-val step_batch : t -> Omflp_instance.Request.t array -> Service.t array
 
 val run_so_far : t -> Run.t
 
 (** {1 Snapshot / restore}
 
-    See {!Algo_intf.ALGO}: byte-identical continuation. One blob format
-    covers both modes (it records which mode produced it); [restore]
-    revives the recomputing mode, [restore_incremental] the incremental
-    mode, and each raises [Failure] on a blob from the other mode. *)
+    See {!Algo_intf.ALGO}: byte-identical continuation. The blob carries
+    the maintained bid caches verbatim. [restore] raises [Failure] on a
+    blob of the retired recomputing mode (mode byte [false], no caches),
+    which cannot continue byte-identically. *)
 
 val snapshot : t -> string
 
 val restore : Omflp_instance.Problem_env.t -> string -> t
-
-val restore_incremental : Omflp_instance.Problem_env.t -> string -> t
 
 (** {1 Introspection (analysis and tests)} *)
 
@@ -89,9 +78,8 @@ val dual_objective : t -> float
 
 val store : t -> Facility_store.t
 
-(** [cache_drift t] (incremental mode only) recomputes the bid sums from
-    scratch and returns the largest absolute deviation from the
-    maintained caches — 0 up to float noise when the incremental
-    maintenance is correct. Returns 0 in recomputing mode. Used by the
-    equivalence tests. *)
+(** [cache_drift t] recomputes the bid sums from scratch and returns the
+    largest absolute deviation from the maintained caches — 0 up to float
+    noise when the cache maintenance is correct. The reference for the
+    oracle's [bid-cache] check and the cache tests. *)
 val cache_drift : t -> float

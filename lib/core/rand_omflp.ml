@@ -212,8 +212,6 @@ let step t (r : Request.t) =
   Metrics.incr m_requests;
   service
 
-let step_batch t reqs = Algo_intf.batch_of_step ~step t reqs
-
 let run_so_far t = Run.of_store ~algorithm:name t.store
 
 let store t = t.store

@@ -12,8 +12,7 @@ let all () : (string * (module Algo_intf.ALGO)) list =
 let extended () =
   all ()
   @ [
-      (Pd_omflp_fast.name, (module Pd_omflp_fast : Algo_intf.ALGO));
-      (Heavy_aware.name, (module Heavy_aware));
+      (Heavy_aware.name, (module Heavy_aware : Algo_intf.ALGO));
       (Ofl_adapter.Meyerson_ofl.name, (module Ofl_adapter.Meyerson_ofl));
       (Ofl_adapter.Fotakis_ofl.name, (module Ofl_adapter.Fotakis_ofl));
       (Nonmetric_bf.name, (module Nonmetric_bf));

@@ -5,9 +5,8 @@
     PD-OMFLP, RAND-OMFLP, INDEP, ALL-LARGE, GREEDY. *)
 val all : unit -> (string * (module Algo_intf.ALGO)) list
 
-(** [extended ()] additionally contains the extensions: PD-OMFLP-FAST
-    (incremental bids, same decisions), HEAVY-AWARE (Section 5), the
-    per-commodity OFL adapters MEYERSON-OFL / FOTAKIS-OFL
+(** [extended ()] additionally contains the extensions: HEAVY-AWARE
+    (Section 5), the per-commodity OFL adapters MEYERSON-OFL / FOTAKIS-OFL
     ({!Ofl_adapter}), and the other problem families' algorithms
     NONMETRIC-BF and LEASE-PD. *)
 val extended : unit -> (string * (module Algo_intf.ALGO)) list

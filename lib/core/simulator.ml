@@ -107,10 +107,7 @@ let run ?seed ?(check = true) (module A : Algo_intf.ALGO)
   let observing = Metrics.enabled () || Trace_sink.installed () in
   let result =
     if not observing then begin
-      (* Unobserved runs take the batch entry point: decisions are
-         identical to the step-by-step fold (the ALGO contract), and
-         algorithms get to amortize pure per-request setup. *)
-      ignore (A.step_batch t inst.requests);
+      Array.iter (fun r -> ignore (A.step t r)) inst.requests;
       A.run_so_far t
     end
     else begin

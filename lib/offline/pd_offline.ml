@@ -17,7 +17,7 @@ let one_pass inst requests =
   (* The offline heuristic always works on the plain-OMFLP view of the
      metric/cost pair, whatever the instance's family. *)
   let t =
-    Omflp_core.Pd_omflp.create_incremental
+    Omflp_core.Pd_omflp.create
       (Problem_env.omflp inst.Instance.metric inst.Instance.cost)
   in
   Array.iter (fun r -> ignore (Omflp_core.Pd_omflp.step t r)) requests;

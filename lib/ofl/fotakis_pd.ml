@@ -3,8 +3,8 @@ open Omflp_obs
 
 (* Same work-counter substrate as the multi-commodity algorithms
    (lib/obs). [ofl.fotakis.bid_evals] counts past-request bid
-   evaluations — the quadratic-in-history work the incremental PD modes
-   avoid. *)
+   evaluations — the quadratic-in-history work PD-OMFLP's maintained bid
+   caches avoid. *)
 let m_steps = Metrics.counter "ofl.fotakis.steps"
 
 let m_bid_evals = Metrics.counter "ofl.fotakis.bid_evals"

@@ -182,10 +182,10 @@ let finalize t conn =
 
 (* ---------- drain (runs on pool worker domains) ---------- *)
 
-let rec drain t conn per_session_c budget =
+let rec drain t conn budget =
   if budget <= 0 then
     (* Yield the worker: requeue behind other runnable connections. *)
-    schedule t conn per_session_c
+    schedule t conn
   else
     match Conn.take conn ~max:budget with
     | Conn.Idle -> ()
@@ -204,13 +204,12 @@ let rec drain t conn per_session_c budget =
                 Array.iter
                   (fun d ->
                     Metrics.observe latency_h latency_s;
-                    Metrics.incr per_session_c;
                     if not conn.Conn.dead then
                       ignore
                         (Conn.send_fill conn (fun b ->
                              Wire.decision_to_buffer ~latency_s b d)))
                   ds;
-                drain t conn per_session_c (budget - n)
+                drain t conn (budget - n)
             | exception Failure msg ->
                 (* Fatal for this session (checkpoint IO, algorithm
                    invariant): tell the client, stop its reader, and let
@@ -222,11 +221,11 @@ let rec drain t conn per_session_c budget =
                   msg;
                 ignore (Conn.send_line conn (Wire.error_to_json msg));
                 Conn.abort conn;
-                drain t conn per_session_c budget))
+                drain t conn budget))
 
-and schedule t conn per_session_c =
+and schedule t conn =
   Omflp_prelude.Pool.submit t.pool (fun () ->
-      try drain t conn per_session_c drain_batch
+      try drain t conn drain_batch
       with e ->
         (* Backstop: a drain task must never kill its worker domain. *)
         Printf.eprintf "omflp serve: drain: %s\n%!" (Printexc.to_string e);
@@ -240,11 +239,11 @@ let refuse t conn msg =
   ignore (Conn.send_line conn (Wire.error_to_json msg));
   finalize t conn
 
-let stream_loop t conn per_session_c =
+let stream_loop t conn =
   let line_no = ref 0 in
   let rec loop () =
     match Conn.input_line_opt conn with
-    | None -> if Conn.finish_input conn then schedule t conn per_session_c
+    | None -> if Conn.finish_input conn then schedule t conn
     | Some line ->
         incr line_no;
         (if String.trim line <> "" then
@@ -258,7 +257,7 @@ let stream_loop t conn per_session_c =
                  (Conn.send_line conn
                     (Wire.error_to_json
                        (Printf.sprintf "line %d: %s" !line_no e)))
-           | Ok r -> if Conn.push conn r then schedule t conn per_session_c);
+           | Ok r -> if Conn.push conn r then schedule t conn);
         loop ()
   in
   loop ()
@@ -279,11 +278,6 @@ let reader t conn =
               | session, algo_name, served, reemit ->
                   Metrics.incr sessions_c;
                   conn.Conn.session <- Some session;
-                  let per_session_c =
-                    Metrics.counter
-                      (Printf.sprintf "server.session.%s.requests"
-                         hello.Wire.h_session)
-                  in
                   let ack =
                     Wire.ack_to_json
                       {
@@ -298,13 +292,13 @@ let reader t conn =
                       (fun d ->
                         ignore (Conn.send_line conn (Wire.decision_to_json d)))
                       reemit;
-                    stream_loop t conn per_session_c
+                    stream_loop t conn
                   end
                   else begin
                     (* Peer vanished between connect and ack: still close
                        the session cleanly (final snapshot). *)
                     ignore (Conn.finish_input conn);
-                    drain t conn per_session_c drain_batch
+                    drain t conn drain_batch
                   end)))
 
 (* ---------- lifecycle ---------- *)

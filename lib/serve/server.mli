@@ -4,8 +4,9 @@
     accepts any number of concurrent connections, and multiplexes their
     sessions across a fixed pool of worker domains. Each connection opens
     with a {!Wire.hello} handshake naming its session; the session gets
-    its own checkpoint directory ([checkpoint_root/ID]) and its own
-    [server.session.ID.requests] counter.
+    its own checkpoint directory ([checkpoint_root/ID]). Metric names are
+    server-wide, never per session id, so the process-global registry
+    stays bounded however many session ids clients send.
 
     Concurrency model: one reader {e thread} per connection parses lines
     into a bounded queue (capacity [queue_depth]; a full queue blocks the

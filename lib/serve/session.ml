@@ -126,9 +126,8 @@ let handle t (r : Request.t) =
    ahead of decisions); the decisions of the stepped prefix are flushed
    before the error propagates, so the durable log never falls behind a
    snapshot written at [close]. Decision records observe the per-request
-   cost evolution, so stepping stays per-request here — the amortized
-   [step_batch] entry is for decision-free paths (simulator, oracle,
-   bench). *)
+   cost evolution, so only the IO is batched: each request is its own
+   [step]. *)
 let handle_batch t (reqs : Request.t array) =
   let n = Array.length reqs in
   if n = 0 then [||]

@@ -21,7 +21,6 @@ module Broken_cost : Algo_intf.ALGO = struct
   let family = Indep_baseline.family
   let create = Indep_baseline.create
   let step = Indep_baseline.step
-  let step_batch = Indep_baseline.step_batch
 
   let run_so_far t =
     let run = Indep_baseline.run_so_far t in
@@ -160,7 +159,6 @@ let test_oracle_reports_instead_of_raising () =
           (Omflp_commodity.Cost_function.n_commodities (Problem_env.cost env))
 
     let step _ _ = failwith "boom"
-    let step_batch t reqs = Algo_intf.batch_of_step ~step t reqs
     let run_so_far _ = Alcotest.fail "unreachable"
     let store t = t
     let snapshot _ = failwith "CRASHER has no snapshot"

@@ -113,7 +113,12 @@ let test_gate_flags_regressions () =
       | Error e -> Alcotest.fail e
       | Ok report ->
           check_int "compared" 3 report.Benchkit.compared;
-          check_int "skipped" 2 report.Benchkit.skipped;
+          Alcotest.(check (list string))
+            "skipped by name" [ "brand new"; "no estimate" ]
+            report.Benchkit.skipped;
+          Alcotest.(check (list string))
+            "unmatched baseline rows by name" [ "gone" ]
+            report.Benchkit.unmatched;
           (match report.Benchkit.regressions with
           | [ r ] ->
               check_string "row" "regressed" r.Benchkit.reg_name;
@@ -164,7 +169,10 @@ let test_gate_partial_skip_passes () =
       | Error e -> Alcotest.fail e
       | Ok report ->
           check_int "compared" 1 report.Benchkit.compared;
-          check_int "skipped" 2 report.Benchkit.skipped;
+          Alcotest.(check (list string))
+            "skipped by name" [ "new-a"; "new-b" ] report.Benchkit.skipped;
+          Alcotest.(check (list string))
+            "no unmatched baseline rows" [] report.Benchkit.unmatched;
           check_int "no regressions" 0
             (List.length report.Benchkit.regressions))
 
@@ -217,8 +225,8 @@ let test_serve_unknown_algo () =
     ~args:[ "serve"; "--algo"; "nope"; "--env"; inst ]
     ~substring:
       "omflp: unknown algorithm \"nope\" (available: PD-OMFLP, RAND-OMFLP, \
-       INDEP, ALL-LARGE, GREEDY, PD-OMFLP-FAST, HEAVY-AWARE, MEYERSON-OFL, \
-       FOTAKIS-OFL, NONMETRIC-BF, LEASE-PD)"
+       INDEP, ALL-LARGE, GREEDY, HEAVY-AWARE, MEYERSON-OFL, FOTAKIS-OFL, \
+       NONMETRIC-BF, LEASE-PD)"
 
 let test_serve_family_mismatch () =
   with_omflp_instance_file @@ fun inst ->

@@ -199,7 +199,7 @@ let prop_store_distances =
 
 let test_registry () =
   check_int "five canonical algorithms" 5 (List.length (Registry.all ()));
-  check_int "eleven with extensions" 11 (List.length (Registry.extended ()));
+  check_int "ten with extensions" 10 (List.length (Registry.extended ()));
   check_bool "find PD" true (Result.is_ok (Registry.find "pd-omflp"));
   check_bool "find extension" true (Result.is_ok (Registry.find "heavy-aware"));
   check_bool "find OFL adapter" true
@@ -214,11 +214,11 @@ let test_registry () =
       Alcotest.(check string)
         "pinned message"
         "unknown algorithm \"nope\" (available: PD-OMFLP, RAND-OMFLP, INDEP, \
-         ALL-LARGE, GREEDY, PD-OMFLP-FAST, HEAVY-AWARE, MEYERSON-OFL, \
-         FOTAKIS-OFL, NONMETRIC-BF, LEASE-PD)"
+         ALL-LARGE, GREEDY, HEAVY-AWARE, MEYERSON-OFL, FOTAKIS-OFL, \
+         NONMETRIC-BF, LEASE-PD)"
         (Registry.unknown_algo_message e));
-  (* Family dispatch: 9 OMFLP algorithms, one per new family. *)
-  check_int "omflp family" 9
+  (* Family dispatch: 8 OMFLP algorithms, one per new family. *)
+  check_int "omflp family" 8
     (List.length (Registry.of_family Problem_env.Family.Omflp));
   check_int "nonmetric family" 1
     (List.length (Registry.of_family Problem_env.Family.Nonmetric_fl));

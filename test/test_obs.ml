@@ -1,8 +1,8 @@
 (* lib/obs unit tests (counters / timers / histograms / trace sink /
    report) plus the instrumentation parity checks of the acceptance
    criteria: with metrics enabled, a seeded PD-OMFLP run's counters must
-   exactly match its event trace, and the incremental bid caches must
-   stay exact while metrics are on.
+   exactly match its event trace, and its bid caches must stay exact
+   while metrics are on.
 
    The registry is process-global, so every test that reads counter
    values resets the registry first and leaves metrics disabled. *)
@@ -368,12 +368,10 @@ let clustered_instance ~seed ~n_requests =
     ~cost:(fun ~n_commodities ~n_sites ->
       Omflp_commodity.Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
 
-(* [create] is either [Pd_omflp.create] or [Pd_omflp.create_incremental]:
-   both modes run the same instrumented event loop. *)
-let counters_vs_trace create =
+let test_pd_counters_match_trace () =
   let inst = clustered_instance ~seed:0xbe9c4 ~n_requests:40 in
   with_metrics (fun () ->
-      let t = create (Instance.env inst) in
+      let t = Pd_omflp.create (Instance.env inst) in
       Array.iter (fun r -> ignore (Pd_omflp.step t r)) inst.Instance.requests;
       let trace = List.concat (Pd_omflp.trace t) in
       let count pred = List.length (List.filter pred trace) in
@@ -402,19 +400,12 @@ let counters_vs_trace create =
         (List.length run.Run.facilities)
         (Metrics.value (Metrics.counter "pd.facilities_opened")))
 
-let test_pd_counters_match_trace () = counters_vs_trace Pd_omflp.create
-
-let test_pd_fast_counters_match_trace () =
-  counters_vs_trace Pd_omflp.create_incremental
-
 let test_cache_exact_under_metrics () =
-  (* Incremental caches stay exact while the instrumentation layer is
-     enabled (the counters must not perturb the algorithm). *)
+  (* Bid caches stay exact while the instrumentation layer is enabled
+     (the counters must not perturb the algorithm). *)
   let inst = clustered_instance ~seed:0xca5e ~n_requests:50 in
   with_metrics (fun () ->
-      let t =
-        Pd_omflp.create_incremental (Instance.env inst)
-      in
+      let t = Pd_omflp.create (Instance.env inst) in
       Array.iter
         (fun r ->
           ignore (Pd_omflp.step t r);
@@ -480,8 +471,6 @@ let () =
         [
           Alcotest.test_case "PD counters = trace" `Quick
             test_pd_counters_match_trace;
-          Alcotest.test_case "PD-FAST counters = trace" `Quick
-            test_pd_fast_counters_match_trace;
           Alcotest.test_case "cache exact under metrics" `Quick
             test_cache_exact_under_metrics;
           Alcotest.test_case "disabled run unchanged" `Quick

@@ -147,27 +147,13 @@ let random_instance seed =
         ~cost:(fun ~n_commodities ~n_sites ->
           Cost_function.theorem2 ~n_commodities ~n_sites)
 
-let prop_fast_equivalent =
-  (* The incremental-bid variant is the same algorithm: identical total
-     cost (up to floating-point summation order) and identical facility
-     count on every instance. *)
-  QCheck.Test.make ~name:"incremental PD = recomputing PD" ~count:60
-    QCheck.small_int (fun seed ->
-      let inst = random_instance seed in
-      let slow = Simulator.run (module Pd_omflp) inst in
-      let fast = Simulator.run (module Pd_omflp_fast) inst in
-      Numerics.approx_eq ~tol:1e-6 (Run.total_cost slow) (Run.total_cost fast)
-      && List.length slow.Run.facilities = List.length fast.Run.facilities)
-
 let prop_cache_exact =
   (* The incremental caches must equal a from-scratch recomputation at
      every point (up to float summation noise). *)
   QCheck.Test.make ~name:"incremental bid caches stay exact" ~count:40
     QCheck.small_int (fun seed ->
       let inst = random_instance seed in
-      let t =
-        Pd_omflp.create_incremental (Instance.env inst)
-      in
+      let t = Pd_omflp.create (Instance.env inst) in
       let ok = ref true in
       Array.iter
         (fun r ->
@@ -175,6 +161,29 @@ let prop_cache_exact =
           if Pd_omflp.cache_drift t > 1e-9 then ok := false)
         inst.Instance.requests;
       !ok)
+
+let prop_cache_survives_restore =
+  (* The bid caches travel in the snapshot verbatim: a run restored at any
+     cut point keeps exact caches and continues byte-identically. *)
+  QCheck.Test.make ~name:"bid caches survive snapshot/restore" ~count:40
+    QCheck.small_int (fun seed ->
+      let inst = random_instance seed in
+      let env = Instance.env inst in
+      let requests = inst.Instance.requests in
+      let cut = seed mod (Array.length requests + 1) in
+      let t = Pd_omflp.create env in
+      Array.iteri (fun i r -> if i < cut then ignore (Pd_omflp.step t r)) requests;
+      let t' = Pd_omflp.restore env (Pd_omflp.snapshot t) in
+      let ok = ref (Pd_omflp.cache_drift t' <= 1e-9) in
+      Array.iteri
+        (fun i r ->
+          if i >= cut then begin
+            ignore (Pd_omflp.step t r);
+            ignore (Pd_omflp.step t' r);
+            if Pd_omflp.cache_drift t' > 1e-9 then ok := false
+          end)
+        requests;
+      !ok && String.equal (Pd_omflp.snapshot t) (Pd_omflp.snapshot t'))
 
 let prop_corollary8 =
   QCheck.Test.make ~name:"Corollary 8: cost <= 3 * dual objective" ~count:80
@@ -341,8 +350,8 @@ let () =
         ] );
       ( "theory",
         [
-          QCheck_alcotest.to_alcotest prop_fast_equivalent;
           QCheck_alcotest.to_alcotest prop_cache_exact;
+          QCheck_alcotest.to_alcotest prop_cache_survives_restore;
           QCheck_alcotest.to_alcotest prop_corollary8;
           QCheck_alcotest.to_alcotest prop_corollary17;
           QCheck_alcotest.to_alcotest prop_dual_lower_bound_below_opt;

@@ -117,10 +117,10 @@ let test_kill_at_every_step () =
    failure here means the codec layout changed under existing snapshots
    — bump the algorithm's snapshot tag and regenerate deliberately with
    [dune exec tools/gen_snapshot_fixtures.exe]. *)
-let fixture_path name =
+let fixture_path ?(dir = "snapshot_v2") name =
   let rel =
     Filename.concat "golden"
-      (Filename.concat "snapshot_v2" (String.lowercase_ascii name ^ ".snap"))
+      (Filename.concat dir (String.lowercase_ascii name ^ ".snap"))
   in
   if Sys.file_exists rel then rel else Filename.concat "test" rel
 
@@ -175,6 +175,33 @@ let test_snapshot_rejects_foreign_blob () =
     (match P.restore (Instance.env inst) blob with
     | _ -> false
     | exception Failure _ -> true)
+
+(* PD-OMFLP blobs from before the bid caches became its only mode carry
+   mode byte [false] and no caches, so they cannot continue
+   byte-identically: restore must refuse them by name, also when nested
+   inside a HEAVY-AWARE blob. The committed legacy fixtures are those
+   blobs (same scenario and cut as the v2 fixtures). *)
+let test_legacy_recomputing_blobs_refused () =
+  let inst, _ = scenario 0 in
+  let env = Instance.env inst in
+  List.iter
+    (fun (name, restore) ->
+      let blob =
+        In_channel.with_open_bin
+          (fixture_path ~dir:"snapshot_legacy" name)
+          In_channel.input_all
+      in
+      match restore env blob with
+      | () -> Alcotest.failf "%s: legacy recomputing blob restored" name
+      | exception Failure msg ->
+          check_bool
+            (Printf.sprintf "%s refusal %S names the retired mode" name msg)
+            true
+            (contains ~sub:"retired recomputing mode" msg))
+    [
+      (Pd_omflp.name, fun env b -> ignore (Pd_omflp.restore env b));
+      (Heavy_aware.name, fun env b -> ignore (Heavy_aware.restore env b));
+    ]
 
 (* ---------- wire format ---------- *)
 
@@ -883,6 +910,51 @@ let test_server_sigkill_resume () =
         (read_lines
            (Filename.concat cps (Filename.concat "s" "decisions.jsonl"))))
 
+(* The metrics registry is process-global and never frees a name, so a
+   long-running server must not register one per session id: serving 50
+   sessions with distinct ids leaves the registry the size it had after
+   the first. *)
+let test_server_metric_names_bounded () =
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let cfg = server_config ~root ~env:inst ~workers:1 () in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let r = inst.Instance.requests.(0) in
+  let request =
+    Printf.sprintf {|{"site":%d,"demand":[%s]}|} r.Request.site
+      (String.concat ","
+         (List.map string_of_int
+            (Omflp_commodity.Cset.elements r.Request.demand)))
+  in
+  let serve_one id =
+    let fd = Listener.connect cfg.Server.listen in
+    let ic = Unix.in_channel_of_descr fd in
+    let oc = Unix.out_channel_of_descr fd in
+    send_line oc (hello_line id);
+    (match recv_line ic with
+    | Wire.Ack _ -> ()
+    | _ -> Alcotest.failf "session %s: expected an ack" id);
+    send_line oc request;
+    Unix.shutdown fd Unix.SHUTDOWN_SEND;
+    (match recv_line ic with
+    | Wire.Decision_line 0 -> ()
+    | _ -> Alcotest.failf "session %s: expected decision 0" id);
+    (match recv_line ic with
+    | Wire.Done (1, _) -> ()
+    | _ -> Alcotest.failf "session %s: expected a done record" id);
+    Unix.close fd
+  in
+  let n_counters () =
+    List.length (Omflp_obs.Metrics.snapshot ()).Omflp_obs.Metrics.counters
+  in
+  serve_one "m0";
+  let after_first = n_counters () in
+  for i = 1 to 49 do
+    serve_one (Printf.sprintf "m%d" i)
+  done;
+  check_int "counter names after 50 session ids" after_first (n_counters ())
+
 let test_create_refuses_live_directory () =
   with_temp_dir @@ fun dir ->
   let cp = fresh_checkpoint ~dir ~snapshot_every:4 in
@@ -940,6 +1012,8 @@ let () =
             `Quick test_snapshot_fixture_cross_version;
           Alcotest.test_case "foreign blob rejected" `Quick
             test_snapshot_rejects_foreign_blob;
+          Alcotest.test_case "legacy recomputing PD blobs refused" `Quick
+            test_legacy_recomputing_blobs_refused;
           Alcotest.test_case "family mismatch refused at session open" `Quick
             test_session_family_mismatch;
           Alcotest.test_case "cross-family restore refused" `Quick
@@ -981,6 +1055,8 @@ let () =
             `Quick test_server_multi_client_byte_identical;
           Alcotest.test_case "admission control" `Quick
             test_server_admission_control;
+          Alcotest.test_case "metric names bounded across session ids" `Quick
+            test_server_metric_names_bounded;
           Alcotest.test_case "SIGKILL mid-stream, resume by handshake" `Slow
             test_server_sigkill_resume;
         ] );
