@@ -118,19 +118,6 @@ type persisted = {
   ps_assignment : float;
 }
 
-let persist t =
-  {
-    ps_n_commodities = t.n_commodities;
-    ps_facilities = facilities t;
-    ps_services_rev =
-      (let rec go i acc =
-         if i = t.n_services then acc else go (i + 1) (t.svc.(i) :: acc)
-       in
-       go 0 []);
-    ps_construction = t.construction;
-    ps_assignment = t.assignment;
-  }
-
 let of_persisted env (z : persisted) =
   let t = create env ~n_commodities:z.ps_n_commodities in
   (* Re-register the facilities in opening order without re-summing
@@ -151,12 +138,20 @@ let of_persisted env (z : persisted) =
   t.assignment <- z.ps_assignment;
   t
 
-let write_persisted b (z : persisted) =
-  Snapshot_codec.w_int b z.ps_n_commodities;
-  Snapshot_codec.w_list Facility.write b z.ps_facilities;
-  Snapshot_codec.w_list Service.write b z.ps_services_rev;
-  Snapshot_codec.w_float b z.ps_construction;
-  Snapshot_codec.w_float b z.ps_assignment
+(* The layout [read_persisted] reads, straight from the flat arrays:
+   facilities in opening order, services newest first. *)
+let write w t =
+  Snapshot_codec.w_int w t.n_commodities;
+  Snapshot_codec.w_int w t.count;
+  for i = 0 to t.count - 1 do
+    Facility.write w t.fac.(i)
+  done;
+  Snapshot_codec.w_int w t.n_services;
+  for i = t.n_services - 1 downto 0 do
+    Service.write w t.svc.(i)
+  done;
+  Snapshot_codec.w_float w t.construction;
+  Snapshot_codec.w_float w t.assignment
 
 let read_persisted r =
   let ps_n_commodities = Snapshot_codec.r_int r in

@@ -68,26 +68,26 @@ val total_cost : t -> float
 
 (** {1 Persistence}
 
-    A store's durable state as pure data, for algorithm snapshots. The
-    distance tables are {e not} serialized: {!of_persisted} replays the
-    opening sequence through {!Nearest_index.note_opened}, which — being
-    a deterministic fold of min-updates over metric rows — rebuilds them
-    bit-identically, while the cost accumulators are restored to their
-    serialized values instead of being re-summed. *)
+    A store's durable state, for algorithm snapshots. The distance tables
+    are {e not} serialized: {!of_persisted} replays the opening sequence
+    through {!Nearest_index.note_opened}, which — being a deterministic
+    fold of min-updates over metric rows — rebuilds them bit-identically,
+    while the cost accumulators are restored to their serialized values
+    instead of being re-summed. *)
 
+(** [write w t] serializes facilities (in opening order), services, and
+    cost accumulators with the snapshot codec v2 field writers, straight
+    from the store. *)
+val write : Omflp_prelude.Snapshot_codec.writer -> t -> unit
+
+(** The form {!read_persisted} decodes, as pure data. *)
 type persisted
 
-(** [persist t] captures facilities (in opening order), services, and
-    cost accumulators. *)
-val persist : t -> persisted
+(** [read_persisted r] reads what {!write} wrote; raises [Failure] on
+    malformed bytes. *)
+val read_persisted : Omflp_prelude.Snapshot_codec.reader -> persisted
 
 (** [of_persisted env z] revives a store against the same environment.
     Raises [Failure] if the facility ids are not the sequential ids this
     store assigns. *)
 val of_persisted : Omflp_instance.Problem_env.t -> persisted -> t
-
-(** Snapshot codec v2 field serializers for the persisted form;
-    [read_persisted] raises [Failure] on malformed bytes. *)
-val write_persisted : Omflp_prelude.Snapshot_codec.writer -> persisted -> unit
-
-val read_persisted : Omflp_prelude.Snapshot_codec.reader -> persisted

@@ -102,7 +102,7 @@ let snapshot_tag = "omflp.snap.greedy.v2"
 
 let snapshot t =
   Omflp_prelude.Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
-      Facility_store.write_persisted b (Facility_store.persist t.store);
+      Facility_store.write b t.store;
       Omflp_prelude.Snapshot_codec.w_int b t.n_requests)
 
 let restore env blob =

@@ -189,7 +189,7 @@ let snapshot t =
   Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
       Cset.write b t.heavy;
       Snapshot_codec.w_string b (Pd_omflp.snapshot t.inner);
-      Facility_store.write_persisted b (Facility_store.persist t.store);
+      Facility_store.write b t.store;
       let fid_pairs =
         List.sort compare
           (Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.fid_map [])

@@ -118,7 +118,7 @@ let r_past r =
 let snapshot t =
   Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
       Snapshot_codec.w_array (Snapshot_codec.w_list w_past) b t.past;
-      Facility_store.write_persisted b (Facility_store.persist t.store);
+      Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)
 
 let restore env blob =

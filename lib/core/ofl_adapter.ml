@@ -124,7 +124,7 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
   let snapshot t =
     Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
         Snapshot_codec.w_opt Snapshot_codec.w_int b t.seed;
-        Facility_store.write_persisted b (Facility_store.persist t.store);
+        Facility_store.write b t.store;
         Snapshot_codec.w_array
           (Snapshot_codec.w_opt (fun b s ->
                Snapshot_codec.w_string b (S.A.save_state s.ofl);

@@ -569,7 +569,7 @@ let r_fired r =
 let snapshot t =
   Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
       Snapshot_codec.w_bool b true;
-      Facility_store.write_persisted b (Facility_store.persist t.store);
+      Facility_store.write b t.store;
       let n = t.n_past in
       Snapshot_codec.w_int b n;
       for j = 0 to n - 1 do
@@ -578,10 +578,10 @@ let snapshot t =
       for j = 0 to n - 1 do
         Cset.write b t.p_demand.(j)
       done;
-      Snapshot_codec.w_float_array b (Array.sub t.p_dual_sum 0 n);
-      Snapshot_codec.w_float_array b (Array.sub t.p_cap4 0 n);
-      Snapshot_codec.w_float_array b (Array.sub t.p_duals 0 (n * t.s));
-      Snapshot_codec.w_float_array b (Array.sub t.p_caps 0 (n * t.s));
+      Snapshot_codec.w_float_sub b t.p_dual_sum 0 n;
+      Snapshot_codec.w_float_sub b t.p_cap4 0 n;
+      Snapshot_codec.w_float_sub b t.p_duals 0 (n * t.s);
+      Snapshot_codec.w_float_sub b t.p_caps 0 (n * t.s);
       Snapshot_codec.w_list (Snapshot_codec.w_list w_fired) b t.trace_rev;
       Snapshot_codec.w_int b t.n_requests;
       Snapshot_codec.w_float_array b t.b3_cache;

@@ -228,7 +228,7 @@ let snapshot_tag = "omflp.snap.rand-omflp.v2"
 let snapshot t =
   Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
       Snapshot_codec.w_i64 b (Splitmix.state t.rng);
-      Facility_store.write_persisted b (Facility_store.persist t.store);
+      Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)
 
 let restore env blob =

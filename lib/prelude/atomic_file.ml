@@ -1,7 +1,8 @@
 (* Crash-safe file replacement: write into a temporary file in the same
-   directory, fsync-flush, then rename over the destination. POSIX rename
-   within one directory is atomic, so readers see either the old complete
-   file or the new complete file — never a torn prefix. *)
+   directory, flush the channel, then rename over the destination. POSIX
+   rename within one directory is atomic, so readers see either the old
+   complete file or the new complete file — never a torn prefix. Nothing
+   is fsynced, so this holds across a killed process, not a power loss. *)
 
 let write path writer =
   let dir = Filename.dirname path in

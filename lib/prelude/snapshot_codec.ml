@@ -26,17 +26,75 @@ let fail fmt = Printf.ksprintf failwith fmt
 
 (* ---------- writing ---------- *)
 
-type writer = Buffer.t
+(* The payload accumulates in chunks that are filled once and never
+   regrown or copied: a small first one, so a tiny snapshot allocates
+   little beyond its result, then fixed [chunk_size] ones. A snapshot
+   therefore costs its chunks plus the one exact-size copy [encode]
+   returns. A fixed-width field never straddles two chunks — a chunk
+   with too little room left is closed early and remembers its fill —
+   while raw string bytes spill over into as many chunks as they
+   need. *)
 
-let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
-let w_i64 b v = Buffer.add_int64_le b v
-let w_int b n = w_i64 b (Int64.of_int n)
-let w_bool b v = w_u8 b (if v then 1 else 0)
-let w_float b v = w_i64 b (Int64.bits_of_float v)
+let first_chunk = 1024
+let chunk_size = 65536
 
-let w_string b s =
-  w_int b (String.length s);
-  Buffer.add_string b s
+type writer = {
+  mutable chunk : Bytes.t; (* being filled *)
+  mutable pos : int; (* bytes used in [chunk] *)
+  mutable closed : (Bytes.t * int) list; (* (chunk, fill), newest first *)
+  mutable closed_len : int; (* bytes in [closed] *)
+}
+
+external unsafe_set_i64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+external big_endian : unit -> bool = "%big_endian"
+
+let next_chunk w =
+  w.closed <- (w.chunk, w.pos) :: w.closed;
+  w.closed_len <- w.closed_len + w.pos;
+  w.chunk <- Bytes.create chunk_size;
+  w.pos <- 0
+
+(* [slots w n] makes room for at least one 8-byte field and returns how
+   many of [n] more fit in the current chunk. *)
+let slots w n =
+  if Bytes.length w.chunk - w.pos < 8 then next_chunk w;
+  min n ((Bytes.length w.chunk - w.pos) / 8)
+
+(* Inlined so the int64 goes from its producer into the bytes unboxed. *)
+let[@inline] set_le b pos v =
+  unsafe_set_i64 b pos (if big_endian () then bswap64 v else v)
+
+let[@inline] w_i64 w v =
+  if Bytes.length w.chunk - w.pos < 8 then next_chunk w;
+  set_le w.chunk w.pos v;
+  w.pos <- w.pos + 8
+
+let w_int w n = w_i64 w (Int64.of_int n)
+let w_float w v = w_i64 w (Int64.bits_of_float v)
+
+let w_u8 w n =
+  if w.pos = Bytes.length w.chunk then next_chunk w;
+  Bytes.unsafe_set w.chunk w.pos (Char.unsafe_chr (n land 0xff));
+  w.pos <- w.pos + 1
+
+let w_bool w v = w_u8 w (if v then 1 else 0)
+
+(* [s]'s bytes with no length prefix. *)
+let w_raw w s =
+  let len = String.length s in
+  let off = ref 0 in
+  while !off < len do
+    if w.pos = Bytes.length w.chunk then next_chunk w;
+    let k = min (len - !off) (Bytes.length w.chunk - w.pos) in
+    Bytes.blit_string s !off w.chunk w.pos k;
+    w.pos <- w.pos + k;
+    off := !off + k
+  done
+
+let w_string w s =
+  w_int w (String.length s);
+  w_raw w s
 
 let w_opt w b = function
   | None -> w_u8 b 0
@@ -52,8 +110,38 @@ let w_array w b xs =
   w_int b (Array.length xs);
   Array.iter (w b) xs
 
-let w_float_array b a = w_array w_float b a
-let w_int_array b a = w_array w_int b a
+(* The two flat-array writers store element by element straight from the
+   array: no per-element boxing and no copy of the slice. *)
+let w_float_sub w (a : float array) off len =
+  if off < 0 || len < 0 || off > Array.length a - len then
+    invalid_arg "Snapshot_codec.w_float_sub";
+  w_int w len;
+  let i = ref off and stop = off + len in
+  while !i < stop do
+    let k = slots w (stop - !i) in
+    let b = w.chunk and p = w.pos and i0 = !i in
+    for j = 0 to k - 1 do
+      set_le b (p + (8 * j)) (Int64.bits_of_float (Array.unsafe_get a (i0 + j)))
+    done;
+    w.pos <- p + (8 * k);
+    i := i0 + k
+  done
+
+let w_float_array w a = w_float_sub w a 0 (Array.length a)
+
+let w_int_array w (a : int array) =
+  let n = Array.length a in
+  w_int w n;
+  let i = ref 0 in
+  while !i < n do
+    let k = slots w (n - !i) in
+    let b = w.chunk and p = w.pos and i0 = !i in
+    for j = 0 to k - 1 do
+      set_le b (p + (8 * j)) (Int64.of_int (Array.unsafe_get a (i0 + j)))
+    done;
+    w.pos <- p + (8 * k);
+    i := i0 + k
+  done
 
 (* ---------- reading ---------- *)
 
@@ -152,14 +240,27 @@ let r_int_array r =
 let encode ~tag emit =
   if String.contains tag '\n' then
     invalid_arg "Snapshot_codec.encode: tag contains a newline";
-  let b = Buffer.create 256 in
-  Buffer.add_string b magic;
-  Buffer.add_char b '\n';
-  Buffer.add_string b tag;
-  Buffer.add_char b '\n';
-  emit b;
-  let body = Buffer.contents b in
-  body ^ Digest.string body
+  let w =
+    { chunk = Bytes.create first_chunk; pos = 0; closed = []; closed_len = 0 }
+  in
+  w_raw w magic;
+  w_u8 w (Char.code '\n');
+  w_raw w tag;
+  w_u8 w (Char.code '\n');
+  emit w;
+  (* The result is the only copy: the chunks are blitted into it at their
+     offsets (newest chunk last) and the digest lands behind them. *)
+  let body_len = w.closed_len + w.pos in
+  let out = Bytes.create (body_len + digest_len) in
+  Bytes.blit w.chunk 0 out w.closed_len w.pos;
+  ignore
+    (List.fold_left
+       (fun stop (c, n) ->
+         Bytes.blit c 0 out (stop - n) n;
+         stop - n)
+       w.closed_len w.closed);
+  Bytes.blit_string (Digest.subbytes out 0 body_len) 0 out body_len digest_len;
+  Bytes.unsafe_to_string out
 
 let decode ~tag read blob =
   let header = magic ^ "\n" ^ tag ^ "\n" in

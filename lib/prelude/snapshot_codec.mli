@@ -15,16 +15,25 @@
     bytes can only produce a named [Failure] — never memory-unsafe
     unmarshalling. Floats travel as their IEEE-754 bits and round-trip
     bit-exactly; that exactness is what lets a restored algorithm produce
-    byte-identical decisions. *)
+    byte-identical decisions.
 
-(** Accumulates payload bytes during encoding; writer combinators append
-    length-prefixed fields. *)
-type writer = Buffer.t
+    Encoding allocates about what it produces: the writer fills chunks
+    that are never regrown or copied, fixed-width fields are stored into
+    them without boxing, and [encode] copies the chunks once into the
+    exact-size result, MD5 trailer included. *)
+
+(** Accumulates payload bytes during encoding, in a 1 KiB first chunk
+    and then fixed 64 KiB chunks, none ever regrown. Only [encode]
+    creates one. *)
+type writer
 
 (** Cursor over a verified payload. All [r_*] readers bounds-check and
     raise [Failure] (prefixed "Snapshot_codec") on truncation, hostile
     lengths, or malformed tag bytes. *)
 type reader
+
+(** One byte: [n land 0xff]. *)
+val w_u8 : writer -> int -> unit
 
 val w_int : writer -> int -> unit
 val w_i64 : writer -> int64 -> unit
@@ -38,8 +47,16 @@ val w_opt : (writer -> 'a -> unit) -> writer -> 'a option -> unit
 val w_list : (writer -> 'a -> unit) -> writer -> 'a list -> unit
 val w_array : (writer -> 'a -> unit) -> writer -> 'a array -> unit
 val w_float_array : writer -> float array -> unit
+
+(** [w_float_sub w a off len] writes the bytes of
+    [w_float_array w (Array.sub a off len)] without making the copy.
+    Raises [Invalid_argument] if [off] and [len] do not designate a valid
+    slice of [a]. *)
+val w_float_sub : writer -> float array -> int -> int -> unit
+
 val w_int_array : writer -> int array -> unit
 
+val r_u8 : reader -> int
 val r_int : reader -> int
 val r_i64 : reader -> int64
 val r_bool : reader -> bool

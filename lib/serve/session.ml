@@ -10,6 +10,8 @@ type t = {
   state : state;
   checkpoint : Checkpoint.t option;
   mutable count : int;
+  mutable snapshot_count : int;
+      (* count the last snapshot this session wrote covers; -1 none *)
   mutable n_facilities_seen : int;
   (* Reused per-session scratch for batched WAL/decision appends; a
      session is drained by one worker at a time, so no lock. *)
@@ -52,6 +54,7 @@ let create ~algo ?seed ?checkpoint env =
     state = State ((module A), st);
     checkpoint;
     count = 0;
+    snapshot_count = -1;
     n_facilities_seen = 0;
     wal_buf = Buffer.create 256;
     dec_buf = Buffer.create 1024;
@@ -92,6 +95,7 @@ let take_snapshot t =
   | None, _ -> ()
   | Some cp, State ((module A), st) ->
       Checkpoint.write_snapshot cp ~count:t.count (A.snapshot st);
+      t.snapshot_count <- t.count;
       Metrics.incr snapshots_c
 
 let maybe_snapshot t =
@@ -203,6 +207,7 @@ let resume ~algo (rz : Checkpoint.resume) env =
       state = State ((module A), st);
       checkpoint = Some rz.cp;
       count = start;
+      snapshot_count = -1;
       n_facilities_seen = Facility_store.n_facilities (A.store st);
       wal_buf = Buffer.create 256;
       dec_buf = Buffer.create 1024;
@@ -256,5 +261,6 @@ let close t =
   match t.checkpoint with
   | None -> ()
   | Some cp ->
-      take_snapshot t;
+      (* The cadence may already have written this count's snapshot. *)
+      if t.snapshot_count <> t.count then take_snapshot t;
       Checkpoint.close cp

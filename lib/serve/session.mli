@@ -62,6 +62,7 @@ val count : t -> int
 (** [running_costs t] is (construction, assignment, total) so far. *)
 val running_costs : t -> float * float * float
 
-(** [close t] writes a final snapshot and closes the checkpoint (no-op
-    without one). *)
+(** [close t] writes a final snapshot, unless this session's cadence
+    already wrote one at the current count, and closes the checkpoint
+    (no-op without one). *)
 val close : t -> unit

@@ -480,6 +480,257 @@ let test_table_rows_accessor () =
     [ [ "1"; "2" ]; [ "3"; "4" ] ]
     (Texttable.rows t)
 
+(* ---------- Snapshot_codec ---------- *)
+
+(* The codec's writer before it was chunked — a [Buffer.t] written field
+   by field — kept as the reference for the bytes every writer must
+   produce. *)
+module Ref_codec = struct
+  let w_u8 b n = Buffer.add_char b (Char.chr (n land 0xff))
+  let w_i64 b v = Buffer.add_int64_le b v
+  let w_int b n = w_i64 b (Int64.of_int n)
+  let w_float b v = w_i64 b (Int64.bits_of_float v)
+
+  let w_string b s =
+    w_int b (String.length s);
+    Buffer.add_string b s
+
+  let w_array w b xs =
+    w_int b (Array.length xs);
+    Array.iter (w b) xs
+
+  let encode ~tag emit =
+    let b = Buffer.create 256 in
+    Buffer.add_string b "omflp.snap2\n";
+    Buffer.add_string b tag;
+    Buffer.add_char b '\n';
+    emit b;
+    let body = Buffer.contents b in
+    body ^ Digest.string body
+end
+
+type codec_op =
+  | C_u8 of int
+  | C_bool of bool
+  | C_int of int
+  | C_i64 of int64
+  | C_float of float
+  | C_string of string
+  | C_floats of float array
+  | C_float_sub of float array * int * int
+  | C_ints of int array
+  | C_list of int list
+  | C_opt of float option
+
+let codec_tag = "omflp.snap.codec-test.v2"
+
+let write_op w = function
+  | C_u8 n -> Snapshot_codec.w_u8 w n
+  | C_bool v -> Snapshot_codec.w_bool w v
+  | C_int n -> Snapshot_codec.w_int w n
+  | C_i64 v -> Snapshot_codec.w_i64 w v
+  | C_float v -> Snapshot_codec.w_float w v
+  | C_string s -> Snapshot_codec.w_string w s
+  | C_floats a -> Snapshot_codec.w_float_array w a
+  | C_float_sub (a, off, len) -> Snapshot_codec.w_float_sub w a off len
+  | C_ints a -> Snapshot_codec.w_int_array w a
+  | C_list l -> Snapshot_codec.w_list Snapshot_codec.w_int w l
+  | C_opt o -> Snapshot_codec.w_opt Snapshot_codec.w_float w o
+
+let ref_write_op b = function
+  | C_u8 n -> Ref_codec.w_u8 b n
+  | C_bool v -> Ref_codec.w_u8 b (if v then 1 else 0)
+  | C_int n -> Ref_codec.w_int b n
+  | C_i64 v -> Ref_codec.w_i64 b v
+  | C_float v -> Ref_codec.w_float b v
+  | C_string s -> Ref_codec.w_string b s
+  | C_floats a -> Ref_codec.w_array Ref_codec.w_float b a
+  | C_float_sub (a, off, len) ->
+      Ref_codec.w_array Ref_codec.w_float b (Array.sub a off len)
+  | C_ints a -> Ref_codec.w_array Ref_codec.w_int b a
+  | C_list l ->
+      Ref_codec.w_int b (List.length l);
+      List.iter (Ref_codec.w_int b) l
+  | C_opt None -> Ref_codec.w_u8 b 0
+  | C_opt (Some v) ->
+      Ref_codec.w_u8 b 1;
+      Ref_codec.w_float b v
+
+(* Floats compare by bits: NaN payloads and -0.0 must survive. *)
+let same_float x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+let same_floats a b =
+  Array.length a = Array.length b && Array.for_all2 same_float a b
+
+let read_op r = function
+  | C_u8 n -> Snapshot_codec.r_u8 r = n land 0xff
+  | C_bool v -> Snapshot_codec.r_bool r = v
+  | C_int n -> Snapshot_codec.r_int r = n
+  | C_i64 v -> Int64.equal (Snapshot_codec.r_i64 r) v
+  | C_float v -> same_float (Snapshot_codec.r_float r) v
+  | C_string s -> String.equal (Snapshot_codec.r_string r) s
+  | C_floats a -> same_floats (Snapshot_codec.r_float_array r) a
+  | C_float_sub (a, off, len) ->
+      same_floats (Snapshot_codec.r_float_array r) (Array.sub a off len)
+  | C_ints a -> Snapshot_codec.r_int_array r = a
+  | C_list l -> Snapshot_codec.r_list Snapshot_codec.r_int r = l
+  | C_opt o -> (
+      match (Snapshot_codec.r_opt Snapshot_codec.r_float r, o) with
+      | None, None -> true
+      | Some x, Some y -> same_float x y
+      | _ -> false)
+
+let pp_codec_op = function
+  | C_u8 n -> Printf.sprintf "u8 %d" n
+  | C_bool v -> Printf.sprintf "bool %b" v
+  | C_int n -> Printf.sprintf "int %d" n
+  | C_i64 v -> Printf.sprintf "i64 %Ld" v
+  | C_float v -> Printf.sprintf "float %h" v
+  | C_string s -> Printf.sprintf "string[%d]" (String.length s)
+  | C_floats a -> Printf.sprintf "floats[%d]" (Array.length a)
+  | C_float_sub (a, off, len) ->
+      Printf.sprintf "float_sub[%d] %d %d" (Array.length a) off len
+  | C_ints a -> Printf.sprintf "ints[%d]" (Array.length a)
+  | C_list l -> Printf.sprintf "list[%d]" (List.length l)
+  | C_opt None -> "opt none"
+  | C_opt (Some v) -> Printf.sprintf "opt %h" v
+
+(* Large values are cheap patterns of a drawn seed. Float bits span all
+   64, so NaN payloads, infinities and negative zero all occur; strings
+   and arrays reach past one 64 KiB chunk, so a sequence of a dozen
+   large ops spans several. *)
+let codec_ops_gen =
+  let open QCheck.Gen in
+  let big = int_bound 150_000 and long = int_bound 20_000 in
+  let any_float = map Int64.float_of_bits ui64 in
+  let floats n seed =
+    Array.init n (fun i ->
+        Int64.float_of_bits
+          (Int64.mul (Int64.of_int (seed + i)) 0x9E3779B97F4A7C15L))
+  in
+  let text n c = String.init n (fun i -> Char.chr ((c + (i * 31)) land 0xff)) in
+  let op =
+    frequency
+      [
+        (3, map (fun n -> C_u8 n) (int_bound 255));
+        (2, map (fun v -> C_bool v) bool);
+        (3, map (fun n -> C_int n) int);
+        (2, map (fun v -> C_i64 v) ui64);
+        (3, map (fun v -> C_float v) any_float);
+        (2, map2 (fun n c -> C_string (text n c)) big (int_bound 255));
+        (1, map (fun s -> C_string s) (string_size (int_bound 40)));
+        (2, map2 (fun n seed -> C_floats (floats n seed)) long int);
+        ( 2,
+          let* n = long and* seed = int in
+          let* off = int_bound n in
+          let* len = int_bound (n - off) in
+          return (C_float_sub (floats n seed, off, len)) );
+        ( 2,
+          map2
+            (fun n seed -> C_ints (Array.init n (fun i -> (seed * i) lxor i)))
+            long int );
+        (1, map (fun l -> C_list l) (list_size (int_bound 50) int));
+        (1, map (fun o -> C_opt o) (opt any_float));
+      ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map pp_codec_op ops))
+    (list_size (int_range 1 40) op)
+
+let prop_codec_matches_reference =
+  QCheck.Test.make ~name:"chunked writer = Buffer reference, and decodes"
+    ~count:60 codec_ops_gen (fun ops ->
+      let blob =
+        Snapshot_codec.encode ~tag:codec_tag (fun w ->
+            List.iter (write_op w) ops)
+      in
+      let expected =
+        Ref_codec.encode ~tag:codec_tag (fun b ->
+            List.iter (ref_write_op b) ops)
+      in
+      String.equal blob expected
+      && Snapshot_codec.decode ~tag:codec_tag
+           (fun r -> List.fold_left (fun ok op -> read_op r op && ok) true ops)
+           blob)
+
+let test_codec_float_sub_bounds () =
+  let a = Array.init 6 float_of_int in
+  List.iter
+    (fun (off, len) ->
+      match
+        Snapshot_codec.encode ~tag:codec_tag (fun w ->
+            Snapshot_codec.w_float_sub w a off len)
+      with
+      | _ -> Alcotest.failf "w_float_sub a %d %d accepted a bad slice" off len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 2); (0, -1); (3, 4); (7, 0); (0, 7); (max_int, 1) ];
+  (* The empty slice at either end is valid. *)
+  List.iter
+    (fun off ->
+      ignore
+        (Snapshot_codec.encode ~tag:codec_tag (fun w ->
+             Snapshot_codec.w_float_sub w a off 0)))
+    [ 0; 6 ]
+
+(* Fixed-width fields are stored into the chunks unboxed and the chunks
+   live on the major heap, so writing 200,000 values allocates a few
+   hundred minor words in all (the first chunk, the writer, the digest) —
+   not the 2+ words per value a boxed store costs. *)
+let test_codec_encode_allocation () =
+  let a = Array.init 100_000 float_of_int in
+  let half = Array.sub a 0 50_000 in
+  let emit w =
+    Snapshot_codec.w_float_array w half;
+    Snapshot_codec.w_float_sub w a 50_000 50_000;
+    for i = 0 to 99_999 do
+      Snapshot_codec.w_int w i
+    done
+  in
+  ignore (Snapshot_codec.encode ~tag:codec_tag emit);
+  let before = Gc.minor_words () in
+  let blob = Snapshot_codec.encode ~tag:codec_tag emit in
+  let words = Gc.minor_words () -. before in
+  check_int "blob length"
+    (String.length ("omflp.snap2\n" ^ codec_tag ^ "\n") + (8 * 200_002) + 16)
+    (String.length blob);
+  if words >= 1000.0 then
+    Alcotest.failf "encode of 200,000 values allocated %.0f minor words" words
+
+(* A PD-OMFLP snapshot far past one 64 KiB chunk restores into the state
+   that continues exactly like the uninterrupted run, and re-encodes to
+   the same bytes. *)
+let test_codec_pd_snapshot_past_64k () =
+  let open Omflp_instance in
+  let module Pd = Omflp_core.Pd_omflp in
+  let inst =
+    Generators.clustered (Splitmix.of_int 5) ~clusters:4 ~per_cluster:4
+      ~n_requests:1000 ~n_commodities:8 ~side:100.0 ~spread:2.0
+      ~cost:(fun ~n_commodities ~n_sites ->
+        Omflp_commodity.Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
+  in
+  let env = Instance.env inst and reqs = inst.Instance.requests in
+  let digest t = Omflp_check.Oracle.run_digest (Pd.run_so_far t) in
+  let straight = Pd.create ~seed:3 env in
+  Array.iter (fun r -> ignore (Pd.step straight r)) reqs;
+  let cut = 700 in
+  let t = Pd.create ~seed:3 env in
+  for i = 0 to cut - 1 do
+    ignore (Pd.step t reqs.(i))
+  done;
+  let blob = Pd.snapshot t in
+  check_bool
+    (Printf.sprintf "snapshot (%d bytes) spans chunks" (String.length blob))
+    true
+    (String.length blob > 2 * 65536);
+  let t' = Pd.restore env blob in
+  check_bool "restored state re-encodes to the same bytes" true
+    (String.equal (Pd.snapshot t') blob);
+  for i = cut to Array.length reqs - 1 do
+    ignore (Pd.step t' reqs.(i))
+  done;
+  check_bool "restored run = uninterrupted run" true
+    (String.equal (digest t') (digest straight))
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -553,6 +804,16 @@ let () =
           Alcotest.test_case "stddev" `Quick test_stats_stddev;
           Alcotest.test_case "geometric mean" `Quick test_geometric_mean;
           Alcotest.test_case "empty" `Quick test_stats_empty;
+        ] );
+      ( "snap-codec",
+        [
+          QCheck_alcotest.to_alcotest prop_codec_matches_reference;
+          Alcotest.test_case "w_float_sub bounds" `Quick
+            test_codec_float_sub_bounds;
+          Alcotest.test_case "encode allocation pinned" `Quick
+            test_codec_encode_allocation;
+          Alcotest.test_case "PD snapshot past 64 KiB restores" `Quick
+            test_codec_pd_snapshot_past_64k;
         ] );
       ( "texttable",
         [

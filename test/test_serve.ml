@@ -971,6 +971,46 @@ let test_session_algo_mismatch () =
         ~algo:(module Greedy_baseline : Algo_intf.ALGO)
         ~seed:0 ~checkpoint:cp (Instance.env inst))
 
+(* A session closed right on a cadence point already has its snapshot:
+   [close] must not encode and rewrite the same one. Two cadence
+   snapshots, none at close — and the directory still resumes into the
+   uninterrupted decision log. *)
+let test_close_skips_cadence_snapshot () =
+  with_temp_dir @@ fun dir ->
+  let inst, _ = scenario 0 in
+  let every = Instance.n_requests inst / 3 in
+  check_bool "scenario long enough" true (every >= 1);
+  let snapshots = Omflp_obs.Metrics.counter "serve.snapshots" in
+  Omflp_obs.Metrics.set_enabled true;
+  let written =
+    Fun.protect
+      ~finally:(fun () -> Omflp_obs.Metrics.set_enabled false)
+      (fun () ->
+        let before = Omflp_obs.Metrics.value snapshots in
+        let cp = fresh_checkpoint ~dir ~snapshot_every:every in
+        let s =
+          Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp
+            (Instance.env inst)
+        in
+        for c = 0 to 1 do
+          ignore
+            (Session.handle_batch s
+               (Array.sub inst.Instance.requests (c * every) every))
+        done;
+        Session.close s;
+        Omflp_obs.Metrics.value snapshots - before)
+  in
+  check_int "snapshots for 2 x cadence requests" 2 written;
+  let rz, lost, _ = resume_and_finish ~dir inst in
+  (match rz.Checkpoint.snapshot with
+  | Some (count, _) ->
+      check_int "resumes from the cadence snapshot" (2 * every) count
+  | None -> Alcotest.fail "expected a snapshot");
+  check_int "nothing to re-emit" 0 (List.length lost);
+  Alcotest.(check (list string))
+    "resumed decision log" (reference_decisions inst)
+    (read_lines (Filename.concat dir "decisions.jsonl"))
+
 (* An algorithm from the wrong problem family must refuse at session open
    with the named mismatch error — never crash mid-run. *)
 let test_session_family_mismatch () =
@@ -1048,6 +1088,8 @@ let () =
             test_create_refuses_live_directory;
           Alcotest.test_case "algorithm mismatch" `Quick
             test_session_algo_mismatch;
+          Alcotest.test_case "close skips a snapshot the cadence wrote" `Quick
+            test_close_skips_cadence_snapshot;
         ] );
       ( "server",
         [
