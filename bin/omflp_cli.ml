@@ -667,28 +667,14 @@ let serve_cmd =
     | None -> (
     match
       with_obs ~metrics ~trace (fun () ->
-        let session, skip, reemit =
-          match checkpoint with
-          | None -> (Serve.Session.create ~algo:algo_m ~seed penv, 0, [])
-          | Some dir ->
-              if resume then begin
-                let rz =
-                  Serve.Checkpoint.open_resume ~dir ~n_sites ~n_commodities
-                    ~instance_md5
-                in
-                let s, lost = Serve.Session.resume ~algo:algo_m rz penv in
-                (s, Serve.Session.count s, lost)
-              end
-              else begin
-                let cp =
-                  Serve.Checkpoint.create ~dir ~algo:A.name ~seed:(Some seed)
-                    ~instance_md5 ~snapshot_every
-                in
-                ( Serve.Session.create ~algo:algo_m ~seed ~checkpoint:cp penv,
-                  0,
-                  [] )
-              end
+        let session, reemit =
+          Serve.Session.start ~algo:algo_m ~seed ~instance_md5
+            ~checkpoint:
+              (Option.map (fun dir -> (dir, snapshot_every)) checkpoint)
+            ~resume penv
         in
+        (* A resumed session has served this many leading input lines. *)
+        let skip = Serve.Session.count session in
         (* Decisions that were served before the crash but not yet durable:
            the client never saw their records survive, so re-emit them
            (canonical form — replay has no meaningful latency). *)
@@ -712,8 +698,10 @@ let serve_cmd =
                      Printf.eprintf "omflp serve: stdin line %d: %s\n%!"
                        !line_no e
                  | Ok r ->
+                     (* One request per batch: each answer is out before
+                        the next line is read. *)
                      let t0 = Omflp_obs.Metrics.now () in
-                     let d = Serve.Session.handle session r in
+                     let d = (Serve.Session.handle_batch session [| r |]).(0) in
                      let latency_s = Omflp_obs.Metrics.now () -. t0 in
                      print_endline (Serve.Wire.decision_to_json ~latency_s d);
                      flush stdout

@@ -4,8 +4,7 @@
    lib/obs work counters for seeded runs, and optionally gates the
    ns/run rows against a committed baseline (BENCH_BASELINE.json).
 
-   Both front ends — [bench/main.exe] and [omflp bench] — parse flags
-   into a {!config} and call {!run}. *)
+   [omflp bench] parses its flags into a {!config} and calls {!run}. *)
 
 open Bechamel
 open Omflp_prelude
@@ -25,18 +24,6 @@ type config = {
 }
 
 let default_max_regression = 0.25
-
-let default_config =
-  {
-    quick = false;
-    tables_only = false;
-    bench_only = false;
-    jobs = 1;
-    json_path = None;
-    baseline_path = None;
-    max_regression = default_max_regression;
-    family = None;
-  }
 
 (* ---------- Part 1: experiment tables (one per paper artifact) ---------- *)
 
@@ -492,12 +479,12 @@ let write_json ~quick ~jobs path ~bench_rows ~counter_rows ~alloc_rows =
   close_out oc;
   Printf.printf "\nwrote %s\n" path
 
-(* ---------- Regression gate vs a committed baseline ---------- *)
+(* ---------- Regression gates vs a committed baseline ---------- *)
 
 type regression = {
   reg_name : string;
-  baseline_ns : float;
-  current_ns : float;
+  baseline : float;
+  current : float;
   ratio : float;
 }
 
@@ -508,240 +495,195 @@ type gate_report = {
   regressions : regression list;
 }
 
-(* Baseline names left out of the comparison, in baseline order. *)
-let unmatched_names baseline ~compared =
-  List.filter_map
-    (fun (name, _) -> if List.mem name compared then None else Some name)
-    baseline
+(* The ns/run gate and the allocation gate share one reader, comparer
+   and printer; they differ only in these. *)
+type gate = {
+  section : string;  (* the baseline's array of rows *)
+  field : string;  (* the numeric field of a row *)
+  missing : string -> string;  (* error for a baseline without [section] *)
+  vacuous : baseline_path:string -> n_rows:int -> skipped:int -> string;
+  title : string;
+  label : string;  (* "<label>: OK" / "<label>: FAIL" *)
+  noun : string;
+  verb : string;  (* "no <noun> <verb> past the threshold" *)
+  columns : string list;  (* name, baseline and current column headers *)
+  decimals : int;  (* of the baseline and current columns *)
+}
 
-(* Reads the [benchmarks] rows of an [omflp.bench.v1] file into
-   [(name, ns_per_run)] pairs, dropping [null] estimates. *)
-let read_baseline path =
-  match Minijson.of_file path with
-  | exception Sys_error msg -> Error ("cannot read baseline: " ^ msg)
-  | exception Minijson.Parse_error msg ->
-      Error (Printf.sprintf "cannot parse baseline %s: %s" path msg)
-  | json -> (
-      match Option.bind (Minijson.member "benchmarks" json) Minijson.to_list with
-      | None ->
-          Error
-            (Printf.sprintf "baseline %s has no \"benchmarks\" array" path)
-      | Some rows ->
-          Ok
-            (List.filter_map
-               (fun row ->
-                 match
-                   ( Option.bind (Minijson.member "name" row) Minijson.to_string,
-                     Option.bind (Minijson.member "ns_per_run" row)
-                       Minijson.to_float )
-                 with
-                 | Some name, Some ns -> Some (name, ns)
-                 | _ -> None)
-               rows))
-
-(* Compares by benchmark NAME over the intersection of the two row sets,
-   so a quick run (fewer scaling points) still gates against a full
-   baseline and newly-added benchmarks don't fail the gate. *)
 let vacuous_error ~baseline_path ~n_rows ~skipped =
   Printf.sprintf
     "vacuous comparison: 0 of %d benchmark row(s) matched baseline %s (%d \
      skipped) — wrong, empty, or stale baseline file"
     n_rows baseline_path skipped
 
-let compare_baseline ~baseline_path ~max_regression bench_rows =
-  Result.bind (read_baseline baseline_path) (fun baseline ->
-      let compared = ref [] and skipped = ref [] and regs = ref [] in
-      List.iter
-        (fun (name, est) ->
-          match (est, List.assoc_opt name baseline) with
-          | Some current_ns, Some baseline_ns when baseline_ns > 0.0 ->
-              compared := name :: !compared;
-              let ratio = current_ns /. baseline_ns in
-              if ratio > 1.0 +. max_regression then
-                regs :=
-                  { reg_name = name; baseline_ns; current_ns; ratio } :: !regs
-          | _ -> skipped := name :: !skipped)
-        bench_rows;
-      (* A gate that compared nothing proves nothing: every row silently
-         skipping (renamed benchmarks, an empty or foreign baseline) used
-         to report OK. Make it a hard failure. *)
-      if !compared = [] then
-        Error
-          (vacuous_error ~baseline_path ~n_rows:(List.length bench_rows)
-             ~skipped:(List.length !skipped))
-      else
-        Ok
-          {
-            compared = List.length !compared;
-            skipped = List.rev !skipped;
-            unmatched = unmatched_names baseline ~compared:!compared;
-            regressions = List.rev !regs;
-          })
-
-(* Every skipped row by name, in both directions: a renamed or dropped
-   benchmark must be visible in the gate output, not just counted. *)
-let print_gate_summary ~baseline_path ~threshold report =
-  Printf.printf
-    "baseline %s: %d row(s) compared, %d current row(s) without a baseline \
-     row, %d baseline row(s) not measured, threshold +%.0f%%\n"
-    baseline_path report.compared
-    (List.length report.skipped)
-    (List.length report.unmatched)
-    (100.0 *. threshold);
-  List.iter (Printf.printf "  skipped, no baseline row: %s\n") report.skipped;
-  List.iter (Printf.printf "  skipped, not measured: %s\n") report.unmatched
-
-let run_gate ~baseline_path ~max_regression bench_rows =
-  print_endline "";
-  print_endline "====================================================";
-  print_endline " bench regression gate";
-  print_endline "====================================================";
-  match compare_baseline ~baseline_path ~max_regression bench_rows with
-  | Error msg ->
-      Printf.printf "GATE ERROR: %s\n" msg;
-      2
-  | Ok report ->
-      print_gate_summary ~baseline_path ~threshold:max_regression report;
-      if report.regressions = [] then begin
-        print_endline "gate: OK (no row regressed past the threshold)";
-        0
-      end
-      else begin
-        let table =
-          Texttable.create [ "benchmark"; "baseline ns"; "current ns"; "ratio" ]
-        in
-        List.iter
-          (fun r ->
-            Texttable.add_row table
-              [
-                r.reg_name;
-                Printf.sprintf "%.0f" r.baseline_ns;
-                Printf.sprintf "%.0f" r.current_ns;
-                Printf.sprintf "%.2fx" r.ratio;
-              ])
-          report.regressions;
-        Texttable.print table;
-        Printf.printf "gate: FAIL (%d row(s) regressed > +%.0f%%)\n"
-          (List.length report.regressions)
-          (100.0 *. max_regression);
-        1
-      end
-
-(* ---------- Allocation gate vs the committed baseline ---------- *)
-
 (* Allocation growth is gated tighter than wall-clock: minor words per
    request are deterministic for a fixed workload, so noise headroom is
    unnecessary and 10% growth already means a reboxed hot path. *)
 let alloc_max_growth = 0.10
 
+(* A baseline predating the allocations section is a hard error, not a
+   skip: the gate would otherwise pass forever against a stale file. *)
 let missing_alloc_error ~baseline_path =
   Printf.sprintf
     "baseline %s has no \"allocations\" section — regenerate it with \
      --json; an allocation gate that compares nothing proves nothing"
     baseline_path
 
-(* Reads the [allocations] rows into [(name, minor_words_per_request)]
-   pairs. A baseline predating the section is a hard error, not a skip:
-   the gate would otherwise pass forever against a stale file. *)
-let read_alloc_baseline path =
+let ns_gate =
+  {
+    section = "benchmarks";
+    field = "ns_per_run";
+    missing = Printf.sprintf "baseline %s has no \"benchmarks\" array";
+    vacuous = vacuous_error;
+    title = "bench regression gate";
+    label = "gate";
+    noun = "row";
+    verb = "regressed";
+    columns = [ "benchmark"; "baseline ns"; "current ns" ];
+    decimals = 0;
+  }
+
+let alloc_gate =
+  {
+    section = "allocations";
+    field = "minor_words_per_request";
+    missing = (fun baseline_path -> missing_alloc_error ~baseline_path);
+    vacuous =
+      (fun ~baseline_path ~n_rows ~skipped ->
+        Printf.sprintf
+          "vacuous allocation comparison: 0 of %d row(s) matched baseline \
+           %s (%d skipped) — wrong, empty, or stale baseline file"
+          n_rows baseline_path skipped);
+    title = "allocation gate (minor words per request)";
+    label = "allocation gate";
+    noun = "workload";
+    verb = "grew";
+    columns = [ "workload"; "baseline words/req"; "current words/req" ];
+    decimals = 1;
+  }
+
+(* Reads the gate's rows of an [omflp.bench.v1] file into
+   [(name, value)] pairs, dropping [null] values. *)
+let read_rows g path =
   match Minijson.of_file path with
   | exception Sys_error msg -> Error ("cannot read baseline: " ^ msg)
   | exception Minijson.Parse_error msg ->
       Error (Printf.sprintf "cannot parse baseline %s: %s" path msg)
   | json -> (
-      match
-        Option.bind (Minijson.member "allocations" json) Minijson.to_list
-      with
-      | None -> Error (missing_alloc_error ~baseline_path:path)
+      match Option.bind (Minijson.member g.section json) Minijson.to_list with
+      | None -> Error (g.missing path)
       | Some rows ->
           Ok
             (List.filter_map
                (fun row ->
                  match
                    ( Option.bind (Minijson.member "name" row) Minijson.to_string,
-                     Option.bind
-                       (Minijson.member "minor_words_per_request" row)
-                       Minijson.to_float )
+                     Option.bind (Minijson.member g.field row) Minijson.to_float
+                   )
                  with
-                 | Some name, Some w -> Some (name, w)
+                 | Some name, Some v -> Some (name, v)
                  | _ -> None)
                rows))
 
-(* Same [gate_report] shape as the ns gate; for allocation rows the
-   [baseline_ns]/[current_ns] fields hold minor words per request. *)
-let compare_allocations ~baseline_path alloc_rows =
-  Result.bind (read_alloc_baseline baseline_path) (fun baseline ->
+(* Compares by NAME over the intersection of the two row sets, so a
+   quick run (fewer scaling points) still gates against a full baseline
+   and newly-added rows don't fail the gate. *)
+let compare_rows g ~baseline_path ~threshold rows =
+  Result.bind (read_rows g baseline_path) (fun baseline ->
       let compared = ref [] and skipped = ref [] and regs = ref [] in
       List.iter
-        (fun (name, current) ->
-          match List.assoc_opt name baseline with
-          | Some base when base > 0.0 ->
+        (fun (name, est) ->
+          match (est, List.assoc_opt name baseline) with
+          | Some current, Some base when base > 0.0 ->
               compared := name :: !compared;
               let ratio = current /. base in
-              if ratio > 1.0 +. alloc_max_growth then
+              if ratio > 1.0 +. threshold then
                 regs :=
-                  {
-                    reg_name = name;
-                    baseline_ns = base;
-                    current_ns = current;
-                    ratio;
-                  }
-                  :: !regs
+                  { reg_name = name; baseline = base; current; ratio } :: !regs
           | _ -> skipped := name :: !skipped)
-        alloc_rows;
+        rows;
+      (* A gate that compared nothing proves nothing (renamed rows, an
+         empty or foreign baseline): a hard failure, never a pass. *)
       if !compared = [] then
         Error
-          (Printf.sprintf
-             "vacuous allocation comparison: 0 of %d row(s) matched baseline \
-              %s (%d skipped) — wrong, empty, or stale baseline file"
-             (List.length alloc_rows) baseline_path (List.length !skipped))
+          (g.vacuous ~baseline_path ~n_rows:(List.length rows)
+             ~skipped:(List.length !skipped))
       else
         Ok
           {
             compared = List.length !compared;
             skipped = List.rev !skipped;
-            unmatched = unmatched_names baseline ~compared:!compared;
+            (* baseline names left out of the comparison, in baseline
+               order *)
+            unmatched =
+              List.filter_map
+                (fun (name, _) ->
+                  if List.mem name !compared then None else Some name)
+                baseline;
             regressions = List.rev !regs;
           })
 
-let run_alloc_gate ~baseline_path alloc_rows =
+let read_baseline = read_rows ns_gate
+
+let compare_baseline ~baseline_path ~max_regression rows =
+  compare_rows ns_gate ~baseline_path ~threshold:max_regression rows
+
+let read_alloc_baseline = read_rows alloc_gate
+
+let compare_allocations ~baseline_path rows =
+  compare_rows alloc_gate ~baseline_path ~threshold:alloc_max_growth
+    (List.map (fun (name, w) -> (name, Some w)) rows)
+
+(* Prints the gate's verdict and returns its exit code: 0 pass,
+   1 regression, 2 unusable baseline. Every skipped row is printed by
+   name, in both directions: a renamed or dropped row must be visible in
+   the gate output, not just counted. *)
+let print_gate g ~baseline_path ~threshold result =
   print_endline "";
   print_endline "====================================================";
-  print_endline " allocation gate (minor words per request)";
+  print_endline (" " ^ g.title);
   print_endline "====================================================";
-  match compare_allocations ~baseline_path alloc_rows with
+  match result with
   | Error msg ->
       Printf.printf "GATE ERROR: %s\n" msg;
       2
   | Ok report ->
-      print_gate_summary ~baseline_path ~threshold:alloc_max_growth report;
+      Printf.printf
+        "baseline %s: %d row(s) compared, %d current row(s) without a \
+         baseline row, %d baseline row(s) not measured, threshold +%.0f%%\n"
+        baseline_path report.compared
+        (List.length report.skipped)
+        (List.length report.unmatched)
+        (100.0 *. threshold);
+      List.iter (Printf.printf "  skipped, no baseline row: %s\n")
+        report.skipped;
+      List.iter (Printf.printf "  skipped, not measured: %s\n")
+        report.unmatched;
       if report.regressions = [] then begin
-        print_endline "allocation gate: OK (no workload grew past the threshold)";
+        Printf.printf "%s: OK (no %s %s past the threshold)\n" g.label g.noun
+          g.verb;
         0
       end
       else begin
-        let table =
-          Texttable.create
-            [ "workload"; "baseline words/req"; "current words/req"; "ratio" ]
-        in
+        let table = Texttable.create (g.columns @ [ "ratio" ]) in
         List.iter
           (fun r ->
             Texttable.add_row table
               [
                 r.reg_name;
-                Printf.sprintf "%.1f" r.baseline_ns;
-                Printf.sprintf "%.1f" r.current_ns;
+                Printf.sprintf "%.*f" g.decimals r.baseline;
+                Printf.sprintf "%.*f" g.decimals r.current;
                 Printf.sprintf "%.2fx" r.ratio;
               ])
           report.regressions;
         Texttable.print table;
-        Printf.printf "allocation gate: FAIL (%d workload(s) grew > +%.0f%%)\n"
+        Printf.printf "%s: FAIL (%d %s(s) %s > +%.0f%%)\n" g.label
           (List.length report.regressions)
-          (100.0 *. alloc_max_growth);
+          g.noun g.verb (100.0 *. threshold);
         1
       end
 
-(* ---------- Entry point shared by bench/main.exe and [omflp bench] ---------- *)
+(* ---------- Entry point of [omflp bench] ---------- *)
 
 let run config =
   Pool.set_default_jobs config.jobs;
@@ -768,10 +710,14 @@ let run config =
     match config.baseline_path with
     | None -> 0
     | Some baseline_path ->
-        let ns_gate =
-          run_gate ~baseline_path ~max_regression:config.max_regression
-            bench_rows
+        let max_regression = config.max_regression in
+        let ns =
+          print_gate ns_gate ~baseline_path ~threshold:max_regression
+            (compare_baseline ~baseline_path ~max_regression bench_rows)
         in
-        let alloc_gate = run_alloc_gate ~baseline_path alloc_rows in
-        max ns_gate alloc_gate
+        let alloc =
+          print_gate alloc_gate ~baseline_path ~threshold:alloc_max_growth
+            (compare_allocations ~baseline_path alloc_rows)
+        in
+        max ns alloc
   end

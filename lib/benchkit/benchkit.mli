@@ -1,4 +1,4 @@
-(** The benchmark harness behind [bench/main.exe] and [omflp bench]:
+(** The benchmark harness behind [omflp bench]:
     experiment tables, Bechamel E7 microbenchmarks, lib/obs work
     counters, BENCH.json emission, and the regression gate against a
     committed baseline. *)
@@ -20,9 +20,6 @@ type config = {
 }
 
 val default_max_regression : float
-
-(** Full-size run, no JSON, no gate. *)
-val default_config : config
 
 (** [run config] executes the configured parts and returns the process
     exit code: 0 on success, 1 when the gate found a regression, 2 when
@@ -61,10 +58,17 @@ val write_json :
   alloc_rows:(string * float) list ->
   unit
 
+(** {2 Regression gates}
+
+    Two gates read the same baseline file with one reader, one comparer
+    and one printer: the ns/run gate (the [benchmarks] rows,
+    [--max-regression]) and the allocation gate (the [allocations] rows,
+    {!alloc_max_growth}). *)
+
 type regression = {
   reg_name : string;
-  baseline_ns : float;
-  current_ns : float;
+  baseline : float;  (** ns/run or minor words per request *)
+  current : float;
   ratio : float;
 }
 
@@ -115,9 +119,8 @@ val read_alloc_baseline : string -> ((string * float) list, string) result
 
 (** [compare_allocations ~baseline_path rows] diffs current
     minor-words-per-request rows against the baseline by workload name,
-    flagging growth beyond {!alloc_max_growth}. Reuses {!gate_report};
-    in its rows the [baseline_ns]/[current_ns] fields hold minor words
-    per request. Empty intersection is a hard [Error]. *)
+    flagging growth beyond {!alloc_max_growth}, with the rules of
+    {!compare_baseline}. Empty intersection is a hard [Error]. *)
 val compare_allocations :
   baseline_path:string ->
   (string * float) list ->

@@ -101,13 +101,8 @@ let restore env blob =
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let z_past = Snapshot_codec.r_list r_past r in
-      let z_store = Facility_store.read_persisted r in
-      let n_requests = Snapshot_codec.r_int r in
       let t = create env in
-      {
-        t with
-        past = z_past;
-        store = Facility_store.of_persisted env z_store;
-        n_requests;
-      })
+      let store = Facility_store.read env r in
+      let n_requests = Snapshot_codec.r_int r in
+      { t with past = z_past; store; n_requests })
     blob

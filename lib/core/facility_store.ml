@@ -110,36 +110,8 @@ let total_cost t = t.construction +. t.assignment
 
 (* ---------- persistence ---------- *)
 
-type persisted = {
-  ps_n_commodities : int;
-  ps_facilities : Facility.t list;  (* opening order *)
-  ps_services_rev : Service.t list;
-  ps_construction : float;
-  ps_assignment : float;
-}
-
-let of_persisted env (z : persisted) =
-  let t = create env ~n_commodities:z.ps_n_commodities in
-  (* Re-register the facilities in opening order without re-summing
-     costs: the nearest-index cells are min-updates over metric rows, so
-     replaying the same opening sequence rebuilds bit-identical tables,
-     while the cost accumulators are restored to their serialized values
-     (a fresh summation could round differently). *)
-  List.iter
-    (fun (f : Facility.t) ->
-      if f.Facility.id <> t.count then
-        failwith "Facility_store.of_persisted: non-sequential facility ids";
-      push_fac t f;
-      Nearest_index.note_opened t.index t.metric ~site:f.Facility.site
-        ~offered:f.Facility.offered ~id:f.Facility.id)
-    z.ps_facilities;
-  List.iter (fun s -> push_svc t s) (List.rev z.ps_services_rev);
-  t.construction <- z.ps_construction;
-  t.assignment <- z.ps_assignment;
-  t
-
-(* The layout [read_persisted] reads, straight from the flat arrays:
-   facilities in opening order, services newest first. *)
+(* Straight from the flat arrays: facilities in opening order, services
+   newest first. *)
 let write w t =
   Snapshot_codec.w_int w t.n_commodities;
   Snapshot_codec.w_int w t.count;
@@ -153,15 +125,28 @@ let write w t =
   Snapshot_codec.w_float w t.construction;
   Snapshot_codec.w_float w t.assignment
 
-let read_persisted r =
-  let ps_n_commodities = Snapshot_codec.r_int r in
-  let ps_facilities =
-    Snapshot_codec.r_list
-      (Facility.read ~n_commodities:ps_n_commodities)
-      r
-  in
-  let ps_services_rev = Snapshot_codec.r_list Service.read r in
-  let ps_construction = Snapshot_codec.r_float r in
-  let ps_assignment = Snapshot_codec.r_float r in
-  { ps_n_commodities; ps_facilities; ps_services_rev; ps_construction;
-    ps_assignment }
+(* The mirror of [write]. Facilities are re-registered in opening order
+   as they are read, without re-summing costs: the nearest-index cells
+   are min-updates over metric rows, so replaying the same opening
+   sequence rebuilds bit-identical tables, while the cost accumulators
+   are restored to their serialized values (a fresh summation could
+   round differently). *)
+let read env r =
+  let t = create env ~n_commodities:(Snapshot_codec.r_int r) in
+  ignore
+    (Snapshot_codec.r_list
+       (fun r ->
+         let f = Facility.read ~n_commodities:t.n_commodities r in
+         if f.Facility.id <> t.count then
+           failwith "Facility_store.read: non-sequential facility ids";
+         push_fac t f;
+         Nearest_index.note_opened t.index t.metric ~site:f.Facility.site
+           ~offered:f.Facility.offered ~id:f.Facility.id)
+       r);
+  let svc = Snapshot_codec.r_array Service.read r in
+  for i = Array.length svc - 1 downto 0 do
+    push_svc t svc.(i)
+  done;
+  t.construction <- Snapshot_codec.r_float r;
+  t.assignment <- Snapshot_codec.r_float r;
+  t

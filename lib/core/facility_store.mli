@@ -69,10 +69,10 @@ val total_cost : t -> float
 (** {1 Persistence}
 
     A store's durable state, for algorithm snapshots. The distance tables
-    are {e not} serialized: {!of_persisted} replays the opening sequence
-    through {!Nearest_index.note_opened}, which — being a deterministic
-    fold of min-updates over metric rows — rebuilds them bit-identically,
-    while the cost accumulators are restored to their serialized values
+    are {e not} serialized: {!read} replays the opening sequence through
+    {!Nearest_index.note_opened}, which — being a deterministic fold of
+    min-updates over metric rows — rebuilds them bit-identically, while
+    the cost accumulators are restored to their serialized values
     instead of being re-summed. *)
 
 (** [write w t] serializes facilities (in opening order), services, and
@@ -80,14 +80,13 @@ val total_cost : t -> float
     from the store. *)
 val write : Omflp_prelude.Snapshot_codec.writer -> t -> unit
 
-(** The form {!read_persisted} decodes, as pure data. *)
-type persisted
-
-(** [read_persisted r] reads what {!write} wrote; raises [Failure] on
-    malformed bytes. *)
-val read_persisted : Omflp_prelude.Snapshot_codec.reader -> persisted
-
-(** [of_persisted env z] revives a store against the same environment.
-    Raises [Failure] if the facility ids are not the sequential ids this
-    store assigns. *)
-val of_persisted : Omflp_instance.Problem_env.t -> persisted -> t
+(** [read env r] is the mirror of {!write}: it creates a store on [env],
+    replays each facility's opening as it reads it, puts the services
+    back in request order, and restores both cost accumulators
+    verbatim. Raises [Failure] on malformed bytes or when the facility
+    ids are not the sequential ids this store assigns. An algorithm's
+    [restore] checks the environment's family (its [create]) before
+    calling this, so a foreign-family blob is refused by name rather
+    than by a codec error. *)
+val read :
+  Omflp_instance.Problem_env.t -> Omflp_prelude.Snapshot_codec.reader -> t

@@ -108,12 +108,8 @@ let snapshot t =
 let restore env blob =
   Omflp_prelude.Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
-      let z_store = Facility_store.read_persisted r in
-      let n_requests = Omflp_prelude.Snapshot_codec.r_int r in
       let t = create env in
-      {
-        t with
-        store = Facility_store.of_persisted env z_store;
-        n_requests;
-      })
+      let store = Facility_store.read env r in
+      let n_requests = Omflp_prelude.Snapshot_codec.r_int r in
+      { t with store; n_requests })
     blob

@@ -209,7 +209,8 @@ let restore env blob =
     (fun r ->
       let z_heavy = Cset.read r in
       let z_inner = Snapshot_codec.r_string r in
-      let z_store = Facility_store.read_persisted r in
+      let t = create_with_heavy ~heavy:z_heavy env in
+      let store = Facility_store.read env r in
       let z_fid_map =
         Snapshot_codec.r_list
           (fun r ->
@@ -223,7 +224,6 @@ let restore env blob =
         Snapshot_codec.r_array (Snapshot_codec.r_list r_heavy_past) r
       in
       let z_n_requests = Snapshot_codec.r_int r in
-      let t = create_with_heavy ~heavy:z_heavy env in
       let light_cost, _ = Cost_function.project t.cost ~keep:t.light in
       List.iter (fun (k, v) -> Hashtbl.replace t.fid_map k v) z_fid_map;
       if Array.length z_heavy_past <> Array.length t.heavy_past then
@@ -232,7 +232,7 @@ let restore env blob =
       {
         t with
         inner = Pd_omflp.restore (Problem_env.omflp t.metric light_cost) z_inner;
-        store = Facility_store.of_persisted env z_store;
+        store;
         inner_mirrored = z_inner_mirrored;
         n_requests = z_n_requests;
       })

@@ -177,11 +177,11 @@ let restore env blob =
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let z_past = Snapshot_codec.r_array (Snapshot_codec.r_list r_past) r in
-      let z_store = Facility_store.read_persisted r in
-      let n_requests = Snapshot_codec.r_int r in
       let t = create env in
+      let store = Facility_store.read env r in
+      let n_requests = Snapshot_codec.r_int r in
       if Array.length z_past <> t.s then
         failwith "Lease_pd.restore: commodity count mismatch";
       Array.blit z_past 0 t.past 0 t.s;
-      { t with store = Facility_store.of_persisted env z_store; n_requests })
+      { t with store; n_requests })
     blob

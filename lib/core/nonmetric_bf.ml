@@ -194,9 +194,9 @@ let restore env blob =
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let z_x = Snapshot_codec.r_array Snapshot_codec.r_float_array r in
-      let z_store = Facility_store.read_persisted r in
-      let n_requests = Snapshot_codec.r_int r in
       let t = create env in
+      let store = Facility_store.read env r in
+      let n_requests = Snapshot_codec.r_int r in
       if Array.length z_x <> t.s then
         failwith "Nonmetric_bf.restore: commodity count mismatch";
       Array.iteri
@@ -205,7 +205,7 @@ let restore env blob =
             failwith "Nonmetric_bf.restore: site count mismatch";
           Array.blit row 0 t.x.(e) 0 t.n_sites)
         z_x;
-      let t = { t with store = Facility_store.of_persisted env z_store; n_requests } in
+      let t = { t with store; n_requests } in
       List.iter
         (fun (f : Facility.t) ->
           match f.Facility.kind with

@@ -136,7 +136,8 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
     Snapshot_codec.decode ~tag:snapshot_tag
       (fun r ->
         let z_seed = Snapshot_codec.r_opt Snapshot_codec.r_int r in
-        let z_store = Facility_store.read_persisted r in
+        let t = create ?seed:z_seed env in
+        let store = Facility_store.read env r in
         let z_slots =
           Snapshot_codec.r_array
             (Snapshot_codec.r_opt (fun r ->
@@ -146,7 +147,6 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
             r
         in
         let z_n_requests = Snapshot_codec.r_int r in
-        let t = create ?seed:z_seed env in
         if Array.length z_slots <> Array.length t.slots then
           failwith
             (Printf.sprintf
@@ -166,11 +166,7 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
                 in
                 t.slots.(e) <- Some { ofl; costs; mirrored })
           z_slots;
-        {
-          t with
-          store = Facility_store.of_persisted env z_store;
-          n_requests = z_n_requests;
-        })
+        { t with store; n_requests = z_n_requests })
       blob
 end
 

@@ -594,8 +594,8 @@ let restore env blob =
         failwith
           "Pd_omflp.restore: snapshot is from the retired recomputing mode \
            (no bid caches)";
-      let z_store = Facility_store.read_persisted r in
       let t = create env in
+      let store = Facility_store.read env r in
       let n = Snapshot_codec.r_int r in
       if n < 0 then failwith "Pd_omflp.restore: negative history length";
       let sites = Array.make (max n 1) 0 in
@@ -645,7 +645,7 @@ let restore env blob =
       t.p_caps <- (if n = 0 then Array.make t.s 0.0 else caps);
       t.trace_rev <- trace_rev;
       t.n_requests <- n_requests;
-      { t with store = Facility_store.of_persisted env z_store })
+      { t with store })
     blob
 
 let cache_drift t =

@@ -235,13 +235,8 @@ let restore env blob =
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let rng = Snapshot_codec.r_i64 r in
-      let z_store = Facility_store.read_persisted r in
-      let n_requests = Snapshot_codec.r_int r in
       let t = create env in
-      {
-        t with
-        rng = Splitmix.create rng;
-        store = Facility_store.of_persisted env z_store;
-        n_requests;
-      })
+      let store = Facility_store.read env r in
+      let n_requests = Snapshot_codec.r_int r in
+      { t with rng = Splitmix.create rng; store; n_requests })
     blob

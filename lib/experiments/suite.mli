@@ -2,7 +2,7 @@
     experiment. *)
 
 (** [run_spec spec] dispatches on [spec.id] ("e1" … "e6", "e8" … "e11";
-    "e7" is the Bechamel half of [bench/main.exe]) and runs the
+    "e7" is the Bechamel half of [omflp bench]) and runs the
     experiment with the spec's overrides. Raises [Invalid_argument] on
     an unknown id. *)
 val run_spec : Exp_common.Spec.t -> Exp_common.section

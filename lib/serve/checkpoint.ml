@@ -60,20 +60,10 @@ let create ~dir ~algo ~seed ~instance_md5 ~snapshot_every =
 
 (* ---------- durable appends ---------- *)
 
-let append_wal t line =
-  output_string t.wal_oc line;
-  output_char t.wal_oc '\n';
-  flush t.wal_oc
-
-let append_decision t line =
-  output_string t.dec_oc line;
-  output_char t.dec_oc '\n';
-  flush t.dec_oc
-
-(* Batched appends: [buf] holds whole newline-terminated lines; one
-   write + flush makes the batch durable together. The WAL batch is
-   still flushed before the first step it covers, so the crash-window
-   invariant (snapshot <= decisions <= WAL) is unchanged. *)
+(* [buf] holds whole newline-terminated lines; one write + flush makes
+   the batch durable together. The WAL batch is flushed before the first
+   step it covers and the decision batch after the last, so the
+   crash-window invariant (snapshot <= decisions <= WAL) holds. *)
 let append_wal_batch t buf =
   Buffer.output_buffer t.wal_oc buf;
   flush t.wal_oc
@@ -250,7 +240,7 @@ let open_resume ~dir ~n_sites ~n_commodities ~instance_md5 =
        log ahead of its WAL)"
       n_decisions n_wal;
   let snapshot = load_snapshot ~dir in
-  (* The write order per request is WAL flush -> decision flush ->
+  (* The write order per batch is WAL flush -> decision flush ->
      snapshot, so a genuine crash always leaves
      snapshot count <= durable decisions <= WAL length; anything else is
      external corruption, and restoring would leave a hole in the

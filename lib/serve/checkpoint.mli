@@ -5,18 +5,21 @@
     - [MANIFEST.json] — format id, algorithm, seed, instance md5,
       snapshot cadence; written atomically once at session creation;
     - [wal.jsonl] — one canonical request line per accepted request,
-      appended and flushed {e before} the algorithm steps;
+      appended and flushed {e before} the first step of its batch;
     - [decisions.jsonl] — one canonical decision line per served request,
-      appended and flushed {e after} the step (so the decision log never
-      runs ahead of the WAL);
+      appended and flushed {e after} the last step of its batch (so the
+      decision log never runs ahead of the WAL);
     - [snapshot.bin] — the latest algorithm+store snapshot, replaced
       atomically (temp + rename) every [snapshot_every] requests, with an
       MD5 of the blob in the header checked {e before} any decoding.
 
-    Durability contract: every write is flushed per record, so a crash —
-    including SIGKILL — loses at most the record being written; resume
-    truncates a torn trailing line and replays the WAL suffix not covered
-    by the snapshot. *)
+    Durability contract: every write is flushed per batch — the WAL
+    before the batch's first step, the decisions after its last — so a
+    crash, including SIGKILL, loses at most the decisions of the batch
+    being served, never a WAL line of a request that was stepped; resume
+    truncates a torn trailing line, replays the WAL suffix not covered
+    by the snapshot, and re-emits the decisions the crash lost. Flushed
+    is not fsynced: the logs survive SIGKILL, not power loss. *)
 
 type t
 
@@ -35,12 +38,6 @@ val create :
   instance_md5:string ->
   snapshot_every:int ->
   t
-
-(** [append_wal t line] durably appends one request line (flushes). *)
-val append_wal : t -> string -> unit
-
-(** [append_decision t line] durably appends one decision line. *)
-val append_decision : t -> string -> unit
 
 (** [append_wal_batch t buf] durably appends a batch of whole
     newline-terminated request lines in one write + flush. The batch
@@ -66,7 +63,7 @@ val close : t -> unit
     index order, the durable decision lines (verbatim, so a replay can be
     cross-checked against them), and the latest snapshot. Invariants
     checked: sequential WAL indexes,
-    [snapshot count <= n_decisions <= |wal|] (the per-request write order
+    [snapshot count <= n_decisions <= |wal|] (the per-batch write order
     is WAL flush, then decision flush, then snapshot — a genuine crash
     cannot violate this chain, only external corruption can). *)
 type resume = {

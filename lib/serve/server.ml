@@ -3,9 +3,10 @@
    reader parses the session-open handshake plus the request stream into
    a bounded per-connection queue, and pool worker domains drain one
    connection at a time — so each session's requests are stepped in
-   order, by one domain at a time, and its durable decision log is byte
-   for byte what stdin-mode [omflp serve] would have written for the
-   same stream.
+   order, by one domain at a time. Sessions open through [Session.start]
+   and step through [Session.handle_batch], the code stdin-mode
+   [omflp serve] runs, so a session's durable decision log is byte for
+   byte what stdin mode writes for the same stream.
 
    Scheduling: a connection owns at most one drain task (Conn's
    [scheduled] flag). A drain steps up to [drain_batch] requests, then
@@ -13,11 +14,10 @@
    sessions share the worker domains fairly. Backpressure is Conn.push
    blocking the reader on a full queue.
 
-   Durability is unchanged from the single-session layer: each session
-   gets its own checkpoint directory under the server's checkpoint root,
-   with the same WAL-before-step / decision-after ordering, so
-   SIGKILLing the whole server loses nothing a per-session resume cannot
-   replay. *)
+   Durability is the single-session layer's: each session gets its own
+   checkpoint directory under the server's checkpoint root, with the
+   same WAL-before-step / decision-after ordering, so SIGKILLing the
+   whole server loses nothing a per-session resume cannot replay. *)
 
 open Omflp_instance
 open Omflp_core
@@ -72,29 +72,16 @@ let rec mkdir_p dir =
 
 (* ---------- session opening (runs on the reader thread) ---------- *)
 
-(* Session ids become checkpoint directory names under the root, so the
-   charset is locked down: anything that could traverse ("..", "/") or
-   confuse a filesystem is refused at the handshake. *)
-let valid_session_id id =
-  String.length id > 0
-  && id <> "." && id <> ".."
-  && String.for_all
-       (function
-         | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '.' | '_' | '-' -> true
-         | _ -> false)
-       id
-
 (* Admission control under the registry mutex: the id is claimed before
    the (slow, IO-heavy) session construction, so two connections racing
-   on one session id cannot both open its checkpoint directory. *)
+   on one session id cannot both open its checkpoint directory. Session
+   ids become checkpoint directory names under the root, so the id rule
+   is re-checked here, at that boundary, whoever built the hello. *)
 let claim t (h : Wire.hello) =
   Mutex.lock t.m;
   let r =
-    if not (valid_session_id h.Wire.h_session) then
-      Error
-        (Printf.sprintf
-           "invalid session id %S (want [A-Za-z0-9._-]+, not \".\"/\"..\")"
-           h.Wire.h_session)
+    if not (Wire.valid_session_id h.Wire.h_session) then
+      Error (Wire.invalid_session_id h.Wire.h_session)
     else if t.stopping then Error "server is shutting down"
     else if Hashtbl.mem t.live h.Wire.h_session then
       Error (Printf.sprintf "session %S is already connected" h.Wire.h_session)
@@ -110,6 +97,9 @@ let claim t (h : Wire.hello) =
   Mutex.unlock t.m;
   r
 
+(* Only the server-specific part: hello defaults and the per-session
+   directory [root/ID]; [Session.start] opens the session as stdin mode
+   does. *)
 let open_session t (h : Wire.hello) =
   let algo_name = Option.value h.Wire.h_algo ~default:t.cfg.algo in
   let algo =
@@ -117,46 +107,26 @@ let open_session t (h : Wire.hello) =
     | Ok a -> a
     | Error e -> fail "%s" (Registry.unknown_algo_message e)
   in
-  let seed = Option.value h.Wire.h_seed ~default:t.cfg.seed in
-  let snapshot_every =
-    Option.value h.Wire.h_snapshot_every ~default:t.cfg.snapshot_every
-  in
-  let env = Instance.env t.cfg.env in
-  let want_checkpoint =
-    match h.Wire.h_checkpoint with
-    | Some b -> b
-    | None -> t.cfg.checkpoint_root <> None
-  in
-  let root () =
-    match t.cfg.checkpoint_root with
-    | Some root -> Filename.concat root h.Wire.h_session
-    | None ->
+  let checkpoint =
+    match (h.Wire.h_checkpoint, t.cfg.checkpoint_root) with
+    | Some false, _ | None, None -> None
+    | _, Some root ->
+        Some
+          ( Filename.concat root h.Wire.h_session,
+            Option.value h.Wire.h_snapshot_every
+              ~default:t.cfg.snapshot_every )
+    | Some true, None ->
         fail
           "handshake requests a checkpoint but the server has no \
            --checkpoint root"
   in
-  if h.Wire.h_resume && not want_checkpoint then
-    fail "resume requires checkpointing";
-  let session, served, reemit =
-    if h.Wire.h_resume then begin
-      let rz =
-        Checkpoint.open_resume ~dir:(root ()) ~n_sites:t.n_sites
-          ~n_commodities:t.n_commodities ~instance_md5:t.cfg.instance_md5
-      in
-      let s, lost = Session.resume ~algo rz env in
-      (s, Session.count s, lost)
-    end
-    else if want_checkpoint then begin
-      let (module A : Algo_intf.ALGO) = algo in
-      let cp =
-        Checkpoint.create ~dir:(root ()) ~algo:A.name ~seed:(Some seed)
-          ~instance_md5:t.cfg.instance_md5 ~snapshot_every
-      in
-      (Session.create ~algo ~seed ~checkpoint:cp env, 0, [])
-    end
-    else (Session.create ~algo ~seed env, 0, [])
+  let session, reemit =
+    Session.start ~algo
+      ~seed:(Option.value h.Wire.h_seed ~default:t.cfg.seed)
+      ~instance_md5:t.cfg.instance_md5 ~checkpoint ~resume:h.Wire.h_resume
+      (Instance.env t.cfg.env)
   in
-  (session, algo_name, served, reemit)
+  (session, algo_name, reemit)
 
 (* ---------- teardown (either side, exactly once) ---------- *)
 
@@ -275,7 +245,7 @@ let reader t conn =
               conn.Conn.session_id <- Some hello.Wire.h_session;
               match open_session t hello with
               | exception Failure msg -> refuse t conn msg
-              | session, algo_name, served, reemit ->
+              | session, algo_name, reemit ->
                   Metrics.incr sessions_c;
                   conn.Conn.session <- Some session;
                   let ack =
@@ -283,7 +253,7 @@ let reader t conn =
                       {
                         Wire.a_session = hello.Wire.h_session;
                         a_algo = algo_name;
-                        a_served = served;
+                        a_served = Session.count session;
                         a_reemitted = List.length reemit;
                       }
                   in

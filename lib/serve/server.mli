@@ -12,9 +12,10 @@
     into a bounded queue (capacity [queue_depth]; a full queue blocks the
     reader — backpressure all the way to the client's writes), while
     [workers] {e domains} drain the queues, at most one drain per
-    connection at a time, in queue order — so every session's decision
-    log is byte-identical to the same stream served by single-session
-    stdin mode.
+    connection at a time, in queue order. Sessions open through
+    {!Session.start} and step through {!Session.handle_batch}, exactly
+    as single-session stdin mode does — so every session's decision log
+    is byte-identical to the same stream served on stdin.
 
     Fault model: a fatal session error aborts only that session (the
     client sees [{"ok":false,...}]); killing the whole server loses

@@ -98,40 +98,30 @@ let take_snapshot t =
       t.snapshot_count <- t.count;
       Metrics.incr snapshots_c
 
-let maybe_snapshot t =
+(* Decision lines queue in [dec_buf]; [flush_decisions] makes them
+   durable with one append. *)
+let log_decision t d =
+  Wire.decision_to_buffer t.dec_buf d;
+  Buffer.add_char t.dec_buf '\n'
+
+let flush_decisions t =
   match t.checkpoint with
-  | Some cp when t.count mod Checkpoint.snapshot_every cp = 0 ->
-      take_snapshot t
+  | Some cp when Buffer.length t.dec_buf > 0 ->
+      Checkpoint.append_decision_batch cp t.dec_buf;
+      Buffer.clear t.dec_buf
   | _ -> ()
 
-let handle t (r : Request.t) =
-  Metrics.incr requests_c;
-  (match t.checkpoint with
-  | Some cp -> Checkpoint.append_wal cp (Wire.request_to_json ~index:t.count r)
-  | None -> ());
-  let d = step_only t r in
-  (match t.checkpoint with
-  | Some cp -> Checkpoint.append_decision cp (Wire.decision_to_json d)
-  | None -> ());
-  maybe_snapshot t;
-  Trace_sink.emit_current ~kind:"serve.step"
-    [
-      ("index", Trace_sink.Int d.Wire.index);
-      ("site", Trace_sink.Int d.Wire.site);
-      ("total", Trace_sink.Float d.Wire.total);
-    ];
-  d
-
-(* Batch entry point: the WAL lines of the whole batch are made durable
-   in one flush before any step runs, every request is then stepped in
-   arrival order, and the decision lines land in one flush at the end —
-   identical bytes to per-request [handle], grouped. A crash or a
-   failing step mid-batch leaves the standard crash-window shape (WAL
-   ahead of decisions); the decisions of the stepped prefix are flushed
-   before the error propagates, so the durable log never falls behind a
-   snapshot written at [close]. Decision records observe the per-request
-   cost evolution, so only the IO is batched: each request is its own
-   [step]. *)
+(* The one entry point that steps and logs requests: the WAL lines of
+   the whole batch are made durable in one flush before any step runs,
+   every request is then stepped in arrival order, and the decision
+   lines land in one flush at the end — so how a stream is cut into
+   batches (one request each on stdin, up to a drain budget on a socket)
+   never changes a logged byte. A crash or a failing step mid-batch
+   leaves the standard crash-window shape (WAL ahead of decisions); the
+   decisions of the stepped prefix are flushed before the error
+   propagates, so the durable log never falls behind a snapshot written
+   at [close]. Decision records observe the per-request cost evolution,
+   so only the IO is batched: each request is its own [step]. *)
 let handle_batch t (reqs : Request.t array) =
   let n = Array.length reqs in
   if n = 0 then [||]
@@ -149,23 +139,12 @@ let handle_batch t (reqs : Request.t array) =
         Checkpoint.append_wal_batch cp t.wal_buf
     | None -> ());
     Buffer.clear t.dec_buf;
-    let flush_decisions () =
-      match t.checkpoint with
-      | Some cp when Buffer.length t.dec_buf > 0 ->
-          Checkpoint.append_decision_batch cp t.dec_buf;
-          Buffer.clear t.dec_buf
-      | _ -> ()
-    in
     let ds_rev = ref [] in
     (try
        Array.iter
          (fun r ->
            let d = step_only t r in
-           (match t.checkpoint with
-           | Some _ ->
-               Wire.decision_to_buffer t.dec_buf d;
-               Buffer.add_char t.dec_buf '\n'
-           | None -> ());
+           if Option.is_some t.checkpoint then log_decision t d;
            Trace_sink.emit_current ~kind:"serve.step"
              [
                ("index", Trace_sink.Int d.Wire.index);
@@ -175,9 +154,9 @@ let handle_batch t (reqs : Request.t array) =
            ds_rev := d :: !ds_rev)
          reqs
      with e ->
-       flush_decisions ();
+       flush_decisions t;
        raise e);
-    flush_decisions ();
+    flush_decisions t;
     (match t.checkpoint with
     | Some cp
       when t.count / Checkpoint.snapshot_every cp
@@ -219,8 +198,10 @@ let resume ~algo (rz : Checkpoint.resume) env =
      different state (corruption, a planted blob, a nondeterministic
      environment) would otherwise silently continue a decision stream
      that contradicts what the client already saw. The rest were lost in
-     the crash window and are appended and handed back for
-     re-emission. *)
+     the crash window: they are handed back for re-emission and appended
+     to the decision log in one batch after the replay. Resume writes no
+     snapshot, so snapshot <= decisions <= WAL still holds if it dies
+     before that append. *)
   let durable = Array.of_list rz.decisions in
   let reemitted = ref [] in
   List.iter
@@ -242,13 +223,12 @@ let resume ~algo (rz : Checkpoint.resume) env =
               durable.(d.Wire.index)
         end
         else begin
-          (match t.checkpoint with
-          | Some cp -> Checkpoint.append_decision cp (Wire.decision_to_json d)
-          | None -> ());
+          log_decision t d;
           reemitted := d :: !reemitted
         end
       end)
     rz.wal;
+  flush_decisions t;
   Trace_sink.emit_current ~kind:"serve.resume"
     [
       ("start", Trace_sink.Int start);
@@ -256,6 +236,27 @@ let resume ~algo (rz : Checkpoint.resume) env =
       ("reemitted", Trace_sink.Int (List.length !reemitted));
     ];
   (t, List.rev !reemitted)
+
+(* How a session opens — fresh, checkpointed, or resumed — decided in one
+   place for stdin and socket sessions alike. *)
+let start ~algo ~seed ~instance_md5 ~checkpoint ~resume:resuming env =
+  match (checkpoint, resuming) with
+  | None, true -> fail "resume requires checkpointing"
+  | None, false -> (create ~algo ~seed env, [])
+  | Some (dir, _), true ->
+      resume ~algo
+        (Checkpoint.open_resume ~dir
+           ~n_sites:(Omflp_metric.Finite_metric.size (Problem_env.metric env))
+           ~n_commodities:(Cost_function.n_commodities (Problem_env.cost env))
+           ~instance_md5)
+        env
+  | Some (dir, snapshot_every), false ->
+      let (module A : Algo_intf.ALGO) = algo in
+      let checkpoint =
+        Checkpoint.create ~dir ~algo:A.name ~seed:(Some seed) ~instance_md5
+          ~snapshot_every
+      in
+      (create ~algo ~seed ~checkpoint env, [])
 
 let close t =
   match t.checkpoint with

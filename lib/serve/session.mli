@@ -1,14 +1,16 @@
 (** Long-lived serving sessions: requests in, decision records out, with
     optional crash-robust checkpointing.
 
-    A session wraps any registered {!Omflp_core.Algo_intf.ALGO} and feeds
-    it requests one at a time. With a {!Checkpoint.t} attached, every
-    request is write-ahead logged before the algorithm steps and every
-    decision is appended after; a state snapshot is written every
-    [snapshot_every] requests and at {!close}. {!resume} restores the
-    snapshot, replays the WAL suffix, and — by the byte-identical
-    continuation contract of {!Omflp_core.Algo_intf.ALGO.snapshot} —
-    continues exactly the decision stream of the uninterrupted run.
+    A session wraps any registered {!Omflp_core.Algo_intf.ALGO}. Stdin
+    and socket sessions open through {!start} and step through
+    {!handle_batch}, so both write the same logs for the same stream.
+    With a {!Checkpoint.t} attached, every batch is write-ahead logged
+    before the algorithm steps and its decisions are appended after; a
+    state snapshot is written every [snapshot_every] requests and at
+    {!close}. {!resume} restores the snapshot, replays the WAL suffix,
+    and — by the byte-identical continuation contract of
+    {!Omflp_core.Algo_intf.ALGO.snapshot} — continues exactly the
+    decision stream of the uninterrupted run.
 
     Observability: counters [serve.requests], [serve.resume],
     [serve.replayed], [serve.snapshots]; timer [serve.step]; trace events
@@ -28,16 +30,15 @@ val create :
   Omflp_instance.Problem_env.t ->
   t
 
-(** [handle t r] serves one request: WAL append (flushed), algorithm
-    step, decision append (flushed), periodic snapshot. *)
-val handle : t -> Omflp_instance.Request.t -> Wire.decision
-
-(** [handle_batch t reqs] serves a batch with one WAL flush before the
-    first step and one decision flush after the last — byte-identical
-    log contents to per-request {!handle}, grouped. A failing step
-    flushes the decisions of the stepped prefix before the exception
-    propagates, preserving the crash-window shape
-    (snapshot <= decisions <= WAL). *)
+(** [handle_batch t reqs] is the only way a request is stepped and
+    logged. It appends the batch's WAL lines with one flush before the
+    first step, steps each request in order, appends the decisions with
+    one flush after the last, and writes a snapshot when the batch
+    crosses a [snapshot_every] boundary. How a stream is cut into
+    batches never changes a logged byte: a one-request batch (stdin
+    mode) logs what any grouping does. A failing step flushes the
+    decisions of the stepped prefix before the exception propagates,
+    preserving the crash-window shape (snapshot <= decisions <= WAL). *)
 val handle_batch :
   t -> Omflp_instance.Request.t array -> Wire.decision array
 
@@ -49,12 +50,37 @@ val handle_batch :
     raises [Failure] instead of silently contradicting what the client
     already saw. Returns the session positioned after the last WAL entry
     plus the decisions that were {e not} yet durable (crash window) —
-    the caller should re-emit exactly those. *)
+    the caller should re-emit exactly those. They are appended to the
+    decision log in one batch after the replay; resume writes no
+    snapshot. *)
 val resume :
   algo:Omflp_core.Algo_intf.packed ->
   Checkpoint.resume ->
   Omflp_instance.Problem_env.t ->
   (t * Wire.decision list)
+
+(** [start ~algo ~seed ~instance_md5 ~checkpoint ~resume env] opens a
+    session the way both serve modes do, and returns it with the
+    decisions to re-emit:
+    - [checkpoint = None]: a fresh {!create} (nothing to re-emit);
+    - [checkpoint = Some (dir, snapshot_every)]: {!Checkpoint.create} on
+      [dir], then {!create};
+    - [resume = true]: {!Checkpoint.open_resume} on [dir] (sizes taken
+      from [env]; the manifest's cadence wins over [snapshot_every]),
+      then {!resume}.
+
+    [Session.count] of the result is the number of requests the stream
+    already served. Raises [Failure "resume requires checkpointing"]
+    when [resume] is set without a checkpoint, and every [Failure] of
+    the calls above. *)
+val start :
+  algo:Omflp_core.Algo_intf.packed ->
+  seed:int ->
+  instance_md5:string ->
+  checkpoint:(string * int) option ->
+  resume:bool ->
+  Omflp_instance.Problem_env.t ->
+  t * Wire.decision list
 
 (** [count t] is the number of requests served (including replayed). *)
 val count : t -> int

@@ -106,9 +106,10 @@ type hello = {
   h_resume : bool;
 }
 
-(* Session ids name checkpoint subdirectories and metric labels, so they
-   are confined to a filesystem- and JSON-safe alphabet; in particular a
-   leading dot (and hence "." / "..") is rejected. *)
+(* Session ids name checkpoint subdirectories, so they are confined to a
+   filesystem- and JSON-safe alphabet; in particular a leading dot (and
+   hence "." / "..") is rejected. The server re-checks this rule when it
+   claims the id. *)
 let valid_session_id s =
   let n = String.length s in
   n >= 1 && n <= 64
@@ -118,6 +119,12 @@ let valid_session_id s =
          | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '.' | '_' | '-' -> true
          | _ -> false)
        s
+
+let invalid_session_id s =
+  Printf.sprintf
+    "invalid session id %S (1-64 chars of [A-Za-z0-9._-], starting \
+     alphanumeric)"
+    s
 
 let bool_member key json =
   match Minijson.member key json with
@@ -139,12 +146,7 @@ let parse_hello line =
       let* session =
         match Option.bind (Minijson.member "session" json) Minijson.to_string with
         | Some s when valid_session_id s -> Ok s
-        | Some s ->
-            Error
-              (Printf.sprintf
-                 "invalid session id %S (1-64 chars of [A-Za-z0-9._-], \
-                  starting alphanumeric)"
-                 s)
+        | Some s -> Error (invalid_session_id s)
         | None -> Error {|missing or non-string "session"|}
       in
       let* algo =

@@ -76,6 +76,18 @@ type hello = {
   h_resume : bool;
 }
 
+(** [valid_session_id id]: [id] is 1-64 chars of [A-Za-z0-9._-] and
+    starts with a letter or digit. Session ids name checkpoint
+    directories, so this is the one rule that keeps an id inside the
+    checkpoint root (no ["."], [".."] or ["/"]). *)
+val valid_session_id : string -> bool
+
+(** [invalid_session_id id] is the refusal message for an id that fails
+    {!valid_session_id}. *)
+val invalid_session_id : string -> string
+
+(** [parse_hello line] decodes a client hello, refusing an invalid
+    session id with {!invalid_session_id}. *)
 val parse_hello : string -> (hello, string) result
 
 (** [hello_to_json h] is the canonical client hello line (optional fields

@@ -176,6 +176,84 @@ let test_gate_partial_skip_passes () =
           check_int "no regressions" 0
             (List.length report.Benchkit.regressions))
 
+(* ---------- allocation gate ---------- *)
+
+let write_alloc_baseline rows =
+  let path = Filename.temp_file "omflp_alloc_baseline" ".json" in
+  Benchkit.write_json ~quick:false ~jobs:1 path ~bench_rows:[]
+    ~counter_rows:[] ~alloc_rows:rows;
+  path
+
+let test_alloc_gate_threshold () =
+  (* Minor words per request are deterministic, so the allocation gate
+     has no noise headroom: growth up to 10% passes, beyond it fails. *)
+  let path =
+    write_alloc_baseline
+      [ ("flat", 200.0); ("at limit", 200.0); ("grown", 200.0);
+        ("shrunk", 200.0); ("gone", 50.0) ]
+  in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      let current =
+        [
+          ("flat", 200.0);
+          ("at limit", 220.0) (* +10%: still passes *);
+          ("grown", 221.0) (* +10.5%: must be flagged *);
+          ("shrunk", 100.0);
+          ("brand new", 9.0) (* not in baseline: skipped *);
+        ]
+      in
+      match Benchkit.compare_allocations ~baseline_path:path current with
+      | Error e -> Alcotest.fail e
+      | Ok report ->
+          check_int "compared" 4 report.Benchkit.compared;
+          Alcotest.(check (list string))
+            "skipped by name" [ "brand new" ] report.Benchkit.skipped;
+          Alcotest.(check (list string))
+            "unmatched baseline rows by name" [ "gone" ]
+            report.Benchkit.unmatched;
+          (match report.Benchkit.regressions with
+          | [ r ] ->
+              check_string "row" "grown" r.Benchkit.reg_name;
+              check_bool "ratio" true
+                (Float.abs (r.Benchkit.ratio -. 1.105) < 1e-9)
+          | rs ->
+              Alcotest.failf "expected exactly one regression, got %d"
+                (List.length rs)))
+
+let test_alloc_gate_missing_section () =
+  (* A baseline predating the allocations section must not pass. *)
+  let path = Filename.temp_file "omflp_alloc_baseline" ".json" in
+  Out_channel.with_open_text path (fun oc ->
+      Out_channel.output_string oc
+        {|{"schema": "omflp.bench.v1",
+           "benchmarks": [{"name": "row", "ns_per_run": 5}]}|});
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      match
+        Benchkit.compare_allocations ~baseline_path:path [ ("row", 1.0) ]
+      with
+      | Ok _ -> Alcotest.fail "a baseline without allocations must not pass"
+      | Error e ->
+          check_string "pinned message"
+            (Benchkit.missing_alloc_error ~baseline_path:path)
+            e)
+
+let test_alloc_gate_vacuous_fails () =
+  let path = write_alloc_baseline [ ("other", 100.0) ] in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      check_bool "disjoint rows are an Error" true
+        (Result.is_error
+           (Benchkit.compare_allocations ~baseline_path:path
+              [ ("mine", 100.0) ]));
+      check_bool "no current rows is an Error" true
+        (Result.is_error
+           (Benchkit.compare_allocations ~baseline_path:path [])))
+
 (* ---------- end-to-end error pins against the real binary ---------- *)
 
 (* The test runs from _build/default/test (dune runtest) or the
@@ -293,5 +371,11 @@ let () =
             test_gate_vacuous_fails;
           Alcotest.test_case "partial skip still passes" `Quick
             test_gate_partial_skip_passes;
+          Alcotest.test_case "allocation growth over 10% flagged" `Quick
+            test_alloc_gate_threshold;
+          Alcotest.test_case "allocation baseline without section" `Quick
+            test_alloc_gate_missing_section;
+          Alcotest.test_case "allocation vacuous comparison fails" `Quick
+            test_alloc_gate_vacuous_fails;
         ] );
     ]

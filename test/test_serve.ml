@@ -19,6 +19,9 @@ let contains ~sub s =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+(* One request per batch: how stdin mode serves. *)
+let handle_one s r = (Session.handle_batch s [| r |]).(0)
+
 let scenario index =
   let sc = Omflp_check.Scenario.golden ~master_seed ~index in
   (sc.Omflp_check.Scenario.instance, sc.Omflp_check.Scenario.algo_seed)
@@ -250,7 +253,7 @@ let test_wire_decision_latency_variants () =
       ~algo:(module Pd_omflp : Algo_intf.ALGO)
       ~seed (Instance.env inst)
   in
-  let d = Session.handle session inst.Instance.requests.(0) in
+  let d = handle_one session inst.Instance.requests.(0) in
   let canonical = Wire.decision_to_json d in
   let with_latency = Wire.decision_to_json ~latency_s:0.25 d in
   check_bool "canonical has no latency field" true
@@ -274,7 +277,7 @@ let test_wire_decision_buffer_allocation_bounded () =
       ~algo:(module Pd_omflp : Algo_intf.ALGO)
       ~seed (Instance.env inst)
   in
-  let d = Session.handle session inst.Instance.requests.(0) in
+  let d = handle_one session inst.Instance.requests.(0) in
   let b = Buffer.create 256 in
   let serialize () =
     Buffer.clear b;
@@ -330,7 +333,7 @@ let crash_after ~dir ~snapshot_every k =
     Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp (Instance.env inst)
   in
   for i = 0 to k - 1 do
-    ignore (Session.handle session inst.Instance.requests.(i))
+    ignore (handle_one session inst.Instance.requests.(i))
   done;
   inst
 
@@ -340,7 +343,7 @@ let reference_decisions inst =
     Session.create ~algo:algo_pd ~seed:0 (Instance.env inst)
   in
   Array.to_list inst.Instance.requests
-  |> List.map (fun r -> Wire.decision_to_json (Session.handle session r))
+  |> List.map (fun r -> Wire.decision_to_json (handle_one session r))
 
 let resume_and_finish ~dir inst =
   let rz =
@@ -355,7 +358,7 @@ let resume_and_finish ~dir inst =
   let rest = ref [] in
   for i = Session.count session to Instance.n_requests inst - 1 do
     rest :=
-      Wire.decision_to_json (Session.handle session inst.Instance.requests.(i))
+      Wire.decision_to_json (handle_one session inst.Instance.requests.(i))
       :: !rest
   done;
   Session.close session;
@@ -398,7 +401,7 @@ let test_handle_batch_matches_handle () =
   (* Batched serving is an amortization, not a semantic change: uneven
      chunk sizes (including an empty chunk and one spanning two snapshot
      cadence points) must produce the same decisions and byte-identical
-     WAL and decision logs as per-request [handle]. *)
+     WAL and decision logs as one-request batches (the stdin shape). *)
   let inst, _ = scenario 0 in
   let n = Instance.n_requests inst in
   with_temp_dir @@ fun dir_a ->
@@ -410,7 +413,7 @@ let test_handle_batch_matches_handle () =
   let per_request = ref [] in
   Array.iter
     (fun r ->
-      per_request := Wire.decision_to_json (Session.handle sa r) :: !per_request)
+      per_request := Wire.decision_to_json (handle_one sa r) :: !per_request)
     inst.Instance.requests;
   Session.close sa;
   let cp_b = fresh_checkpoint ~dir:dir_b ~snapshot_every:3 in
@@ -599,7 +602,7 @@ let test_resume_detects_divergent_snapshot () =
     Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp_a (Instance.env inst)
   in
   for i = 0 to 5 do
-    ignore (Session.handle sa inst.Instance.requests.(i))
+    ignore (handle_one sa inst.Instance.requests.(i))
   done;
   (* B: same shape (snapshot at count 4) but a different history — the
      first request served six times over. *)
@@ -608,7 +611,7 @@ let test_resume_detects_divergent_snapshot () =
     Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp_b (Instance.env inst)
   in
   for _ = 1 to 6 do
-    ignore (Session.handle sb inst.Instance.requests.(0))
+    ignore (handle_one sb inst.Instance.requests.(0))
   done;
   (* Plant B's snapshot into A: internally consistent (its own MD5
      matches), covers the same count, passes every file-level check —
@@ -690,7 +693,7 @@ let test_server_multi_client_byte_identical () =
           in
           List.init per (fun j ->
               Wire.decision_to_json
-                (Session.handle s inst.Instance.requests.((i + j) mod n)))
+                (handle_one s inst.Instance.requests.((i + j) mod n)))
         in
         Alcotest.(check (list string))
           (Printf.sprintf "session c%d durable log = single-session run" i)
@@ -807,6 +810,13 @@ let recv_line ic =
   | Ok l -> l
   | Error e -> Alcotest.failf "unparseable server line: %s" e
 
+(* The client request line for [r] (the stdin and socket format). *)
+let request_line (r : Request.t) =
+  Printf.sprintf {|{"site":%d,"demand":[%s]}|} r.Request.site
+    (String.concat ","
+       (List.map string_of_int
+          (Omflp_commodity.Cset.elements r.Request.demand)))
+
 (* Drive the real binary: open a session over the socket, serve half the
    stream, SIGKILL the server process mid-flight, restart it on the same
    checkpoint root, resume the session by handshake, finish the stream —
@@ -835,15 +845,7 @@ let test_server_sigkill_resume () =
     (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
     try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
   in
-  let request_lines =
-    Array.map
-      (fun r ->
-        Printf.sprintf {|{"site":%d,"demand":[%s]}|} r.Request.site
-          (String.concat ","
-             (List.map string_of_int
-                (Omflp_commodity.Cset.elements r.Request.demand))))
-      inst.Instance.requests
-  in
+  let request_lines = Array.map request_line inst.Instance.requests in
   let pid = ref (spawn ()) in
   Fun.protect
     ~finally:(fun () ->
@@ -903,12 +905,139 @@ let test_server_sigkill_resume () =
           Session.create ~algo:algo_pd ~seed:0 (Instance.env inst)
         in
         Array.to_list inst.Instance.requests
-        |> List.map (fun r -> Wire.decision_to_json (Session.handle s r))
+        |> List.map (fun r -> Wire.decision_to_json (handle_one s r))
       in
       Alcotest.(check (list string))
         "decision log byte-identical across SIGKILL" reference
         (read_lines
            (Filename.concat cps (Filename.concat "s" "decisions.jsonl"))))
+
+(* ---------- stdin mode, driven through the real binary ---------- *)
+
+(* [omflp serve] in stdin mode with PD-OMFLP and seed 0 (the socket
+   tests' server defaults): [input] on stdin, stdout into [output]. *)
+let serve_stdin ~env_file ~input ~output args =
+  let fd_in = Unix.openfile input [ Unix.O_RDONLY ] 0 in
+  let fd_out =
+    Unix.openfile output [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let devnull = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let argv =
+    [ cli_binary; "serve"; "--algo"; Pd_omflp.name; "--env"; env_file;
+      "--seed"; "0" ]
+    @ args
+  in
+  let pid =
+    Fun.protect
+      ~finally:(fun () -> List.iter Unix.close [ fd_in; fd_out; devnull ])
+      (fun () ->
+        Unix.create_process cli_binary (Array.of_list argv) fd_in fd_out
+          devnull)
+  in
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "%s failed" (String.concat " " argv)
+
+let write_stream path lines =
+  Out_channel.with_open_text path (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) lines)
+
+(* Stdin and socket sessions open through [Session.start] and step
+   through [Session.handle_batch]; the socket drains several requests
+   per batch, stdin one. The checkpoint files of the same stream must be
+   byte-identical, snapshot included. *)
+let test_stdin_matches_socket_session () =
+  if not (Sys.file_exists cli_binary) then Alcotest.skip ();
+  let inst, _ = scenario 0 in
+  let n = Instance.n_requests inst in
+  with_server_root @@ fun root ->
+  let env_file = Filename.concat root "env.inst" in
+  Serial.save_file env_file inst;
+  let dumps = Filename.concat root "dumps" in
+  let cfg = server_config ~root ~env:inst () in
+  let server = Server.start cfg in
+  let per = (2 * n) + 3 in
+  (match
+     Fun.protect
+       ~finally:(fun () -> Server.stop server)
+       (fun () ->
+         Omflp_loadgen.Loadgen.run
+           {
+             Omflp_loadgen.Loadgen.connect = cfg.Server.listen;
+             env = inst;
+             sessions = 1;
+             requests_per_session = per;
+             algo = None;
+             seed = None;
+             snapshot_every = None;
+             checkpoint = None;
+             resume = false;
+             window = 5;
+             session_prefix = "st";
+             dump_dir = Some dumps;
+           })
+   with
+  | Error e -> Alcotest.fail e
+  | Ok report ->
+      check_int "every request answered" per
+        report.Omflp_loadgen.Loadgen.r_requests);
+  let stdin_dir = Filename.concat root "stdin" in
+  serve_stdin ~env_file
+    ~input:(Filename.concat dumps "st0.jsonl")
+    ~output:(Filename.concat root "stdin.out")
+    [ "--checkpoint"; stdin_dir; "--snapshot-every";
+      string_of_int cfg.Server.snapshot_every ];
+  check_int "stdin answered every line" per
+    (List.length (read_lines (Filename.concat root "stdin.out")));
+  let socket_dir = Filename.concat (Filename.concat root "cps") "st0" in
+  List.iter
+    (fun f ->
+      let bytes dir =
+        In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+      in
+      check_string
+        (Printf.sprintf "%s byte-identical, stdin vs socket" f)
+        (bytes socket_dir) (bytes stdin_dir))
+    [ "wal.jsonl"; "decisions.jsonl"; "snapshot.bin" ]
+
+(* Stdin EOF closes the session; [--resume] with the whole stream skips
+   the lines already served, prints only the remaining decisions, and
+   leaves the straight-through decision log. *)
+let test_stdin_eof_then_resume () =
+  if not (Sys.file_exists cli_binary) then Alcotest.skip ();
+  let inst, _ = scenario 0 in
+  let n = Instance.n_requests inst in
+  let k = (n / 2) + 1 in
+  with_server_root @@ fun root ->
+  let env_file = Filename.concat root "env.inst" in
+  Serial.save_file env_file inst;
+  let lines = Array.to_list (Array.map request_line inst.Instance.requests) in
+  let full = Filename.concat root "full.jsonl" in
+  let prefix = Filename.concat root "prefix.jsonl" in
+  write_stream full lines;
+  write_stream prefix (List.filteri (fun i _ -> i < k) lines);
+  let dir = Filename.concat root "ck" in
+  let ckpt = [ "--checkpoint"; dir; "--snapshot-every"; "3" ] in
+  let first = Filename.concat root "first.out" in
+  let resumed = Filename.concat root "resumed.out" in
+  serve_stdin ~env_file ~input:prefix ~output:first ckpt;
+  check_int "first run answers the prefix" k (List.length (read_lines first));
+  serve_stdin ~env_file ~input:full ~output:resumed (ckpt @ [ "--resume" ]);
+  let indices =
+    List.map
+      (fun l ->
+        match Wire.parse_server_line l with
+        | Ok (Wire.Decision_line i) -> i
+        | _ -> Alcotest.failf "unexpected stdout line %S" l)
+      (read_lines resumed)
+  in
+  Alcotest.(check (list int))
+    "resumed stdout holds only the remaining decisions"
+    (List.init (n - k) (fun i -> k + i))
+    indices;
+  Alcotest.(check (list string))
+    "decision log equals the straight-through run" (reference_decisions inst)
+    (read_lines (Filename.concat dir "decisions.jsonl"))
 
 (* The metrics registry is process-global and never frees a name, so a
    long-running server must not register one per session id: serving 50
@@ -920,13 +1049,7 @@ let test_server_metric_names_bounded () =
   let cfg = server_config ~root ~env:inst ~workers:1 () in
   let server = Server.start cfg in
   Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
-  let r = inst.Instance.requests.(0) in
-  let request =
-    Printf.sprintf {|{"site":%d,"demand":[%s]}|} r.Request.site
-      (String.concat ","
-         (List.map string_of_int
-            (Omflp_commodity.Cset.elements r.Request.demand)))
-  in
+  let request = request_line inst.Instance.requests.(0) in
   let serve_one id =
     let fd = Listener.connect cfg.Server.listen in
     let ic = Unix.in_channel_of_descr fd in
@@ -1090,6 +1213,8 @@ let () =
             test_session_algo_mismatch;
           Alcotest.test_case "close skips a snapshot the cadence wrote" `Quick
             test_close_skips_cadence_snapshot;
+          Alcotest.test_case "stdin EOF, then --resume skips served lines"
+            `Quick test_stdin_eof_then_resume;
         ] );
       ( "server",
         [
@@ -1101,5 +1226,7 @@ let () =
             test_server_metric_names_bounded;
           Alcotest.test_case "SIGKILL mid-stream, resume by handshake" `Slow
             test_server_sigkill_resume;
+          Alcotest.test_case "stdin logs byte-identical to a socket session"
+            `Quick test_stdin_matches_socket_session;
         ] );
     ]
