@@ -601,27 +601,24 @@ let serve_cmd =
       & info [ "max-sessions" ] ~docv:"N"
           ~doc:
             "Refuse handshakes beyond $(docv) concurrent sessions \
-             (--listen only).")
-  in
-  let queue_depth_arg =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "queue-depth" ] ~docv:"N"
-          ~doc:
-            "Per-connection request-queue bound; a full queue stops \
-             reading that connection until its session catches up \
-             (--listen only).")
+             (--listen only). Connections on descriptors at or above \
+             1024 are refused too, and a checkpointed session holds \
+             three (socket, WAL, decision log), so for checkpointed \
+             sessions that cap binds first: about 340 are admitted, \
+             whatever $(docv) says.")
   in
   let workers_arg =
     Arg.(
       value
       & opt int 4
       & info [ "workers" ] ~docv:"N"
-          ~doc:"Serving domains for --listen mode.")
+          ~doc:
+            "Event loops for --listen mode, one domain each; the calling \
+             domain runs one of them. A connection stays on the loop \
+             that accepted it.")
   in
   let action algo env checkpoint snapshot_every resume listen max_sessions
-      queue_depth workers seed metrics trace =
+      workers seed metrics trace =
     if snapshot_every <= 0 then
       Cli_flags.die "omflp: --snapshot-every must be >= 1";
     if resume && checkpoint = None then
@@ -657,7 +654,6 @@ let serve_cmd =
                   snapshot_every;
                   seed;
                   max_sessions;
-                  queue_depth;
                   workers;
                 })
         with
@@ -731,8 +727,8 @@ let serve_cmd =
           multiplexes many concurrent sessions over a socket.")
     Term.(
       const action $ algo_arg $ env_arg $ checkpoint_arg $ snapshot_every_arg
-      $ resume_arg $ listen_arg $ max_sessions_arg $ queue_depth_arg
-      $ workers_arg $ seed_arg $ metrics_arg $ trace_arg)
+      $ resume_arg $ listen_arg $ max_sessions_arg $ workers_arg
+      $ seed_arg $ metrics_arg $ trace_arg)
 
 (* omflp loadgen *)
 let loadgen_cmd =

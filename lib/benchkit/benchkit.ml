@@ -51,10 +51,10 @@ let full_run (module A : Omflp_core.Algo_intf.ALGO) inst () =
   Array.iter (fun r -> ignore (A.step t r)) inst.Instance.requests;
   Omflp_core.Run.total_cost (A.run_so_far t)
 
-(* Serve-layer throughput: the drain loop's in-process shape — one
-   session, no checkpoint IO, requests stepped in drain-sized batches
-   with full decision-record assembly. What one worker domain of the
-   socket server achieves, minus the sockets. *)
+(* Serve-layer throughput: the event loop's in-process shape — one
+   session, no checkpoint IO, requests stepped in per-turn batches of
+   32 with full decision-record assembly. What one loop of the socket
+   server achieves, minus the sockets. *)
 let serve_batch = 32
 
 let serve_bench_n_requests = 60

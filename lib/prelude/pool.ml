@@ -52,11 +52,6 @@ let create ~jobs =
 
 let jobs t = t.pool_jobs
 
-let run_task body =
-  (* Tasks never raise: the body stores its own result/exception. *)
-  Domain.DLS.set in_task true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set in_task false) body
-
 let map t f arr =
   let n = Array.length arr in
   if t.pool_jobs = 1 || n <= 1 || Domain.DLS.get in_task then Array.map f arr
@@ -70,11 +65,13 @@ let map t f arr =
     let remaining = ref n in
     let all_done = Condition.create () in
     let task i () =
-      run_task (fun () ->
-          results.(i) <-
-            Some
-              (try Ok (f arr.(i))
-               with e -> Error (e, Printexc.get_raw_backtrace ())));
+      (* Never raises: slot [i] stores the result or the exception. *)
+      Domain.DLS.set in_task true;
+      results.(i) <-
+        Some
+          (try Ok (f arr.(i))
+           with e -> Error (e, Printexc.get_raw_backtrace ()));
+      Domain.DLS.set in_task false;
       Mutex.lock t.mutex;
       decr remaining;
       if !remaining = 0 then Condition.broadcast all_done;
@@ -111,30 +108,6 @@ let map t f arr =
     Array.map
       (function Some (Ok v) -> v | Some (Error _) | None -> assert false)
       results
-  end
-
-(* Fire-and-forget task submission, the long-lived-service face of the
-   pool ([map] is the batch face): the serve layer enqueues one drain
-   task per runnable connection and the spawned workers execute them.
-   Tasks run under [run_task] so a nested [map] inside a task falls back
-   inline and cannot deadlock the pool. *)
-let submit t task =
-  Mutex.lock t.mutex;
-  if t.closing then begin
-    Mutex.unlock t.mutex;
-    invalid_arg "Pool.submit: pool is shut down"
-  end;
-  if Array.length t.workers = 0 then begin
-    (* Degenerate 1-job pool: no worker domains exist, so run inline —
-       submission order is preserved and the caller provides the
-       concurrency (e.g. one systhread per connection). *)
-    Mutex.unlock t.mutex;
-    run_task task
-  end
-  else begin
-    Queue.push (fun () -> run_task task) t.pending;
-    Condition.signal t.work_available;
-    Mutex.unlock t.mutex
   end
 
 let shutdown t =

@@ -37,21 +37,6 @@ val jobs : t -> int
     — nested [map]s are safe but sequential. *)
 val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
-(** [submit t task] enqueues [task] for execution on a worker domain and
-    returns immediately — the fire-and-forget face of the pool that the
-    serving layer schedules connection drains on. Tasks submitted from
-    one thread run in submission order, but tasks from different threads
-    interleave arbitrarily; callers needing per-object ordering must
-    serialize per object (the serve layer keeps at most one drain task
-    per connection in flight). [task] must handle its own exceptions — a
-    task that raises kills the worker domain that ran it.
-
-    On a [jobs = 1] pool no worker domains exist, so [task] runs inline
-    in the calling thread before [submit] returns.
-
-    Raises [Invalid_argument] after {!shutdown}. *)
-val submit : t -> (unit -> unit) -> unit
-
 (** [shutdown t] drains outstanding work and joins the worker domains.
     Idempotent; {!map} on a shut-down pool raises [Invalid_argument]. *)
 val shutdown : t -> unit

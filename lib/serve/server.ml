@@ -1,18 +1,32 @@
 (* Concurrent multi-session front end over the single-session serving
-   core: an accept loop hands each connection to a reader thread, the
-   reader parses the session-open handshake plus the request stream into
-   a bounded per-connection queue, and pool worker domains drain one
-   connection at a time — so each session's requests are stepped in
-   order, by one domain at a time. Sessions open through [Session.start]
-   and step through [Session.handle_batch], the code stdin-mode
-   [omflp serve] runs, so a session's durable decision log is byte for
-   byte what stdin mode writes for the same stream.
+   core: [workers] independent [Unix.select] loops, one per domain, race
+   on one nonblocking listener. The loop that accepts a connection owns
+   it for its whole life, so a session's lines are read, stepped and
+   answered on one domain, in arrival order, with no queue or lock in
+   between. Sessions open through [Session.start] and step through
+   [Session.handle_batch], the code stdin-mode [omflp serve] runs, so a
+   session's durable decision log is byte for byte what stdin mode
+   writes for the same stream.
 
-   Scheduling: a connection owns at most one drain task (Conn's
-   [scheduled] flag). A drain steps up to [drain_batch] requests, then
-   requeues itself — FIFO through the pool queue, so thousands of
-   sessions share the worker domains fairly. Backpressure is Conn.push
-   blocking the reader on a full queue.
+   A turn of a loop: [select] on the listener and the connections;
+   accept one connection; read one [chunk] from each readable
+   connection; step up to [batch] complete lines per connection, the
+   hello first; write each connection's replies with one [write],
+   keeping what the socket does not take until it is writable.
+   Backpressure has no knob: a connection is read only while it holds
+   no unstepped complete line and no unsent reply, and stepped only
+   while it holds no unsent reply, so it buffers at most one read
+   chunk, one line of at most [max_line] bytes and one batch of
+   replies — a client that stops reading stalls only its own session.
+   The loop blocks in [select] unless some connection has a line it can
+   step.
+
+   [start] spawns [workers] loop domains and returns; [run] runs one
+   loop on the calling domain and spawns [workers - 1], so
+   [--workers 1] is a one-domain process. [select] takes descriptors
+   below FD_SETSIZE only and fails the whole call otherwise, so each
+   accepted descriptor is probed and one past the cap is refused by
+   name; [--max-sessions] stays the server-wide admission limit.
 
    Durability is the single-session layer's: each session gets its own
    checkpoint directory under the server's checkpoint root, with the
@@ -32,7 +46,6 @@ type config = {
   snapshot_every : int;
   seed : int;
   max_sessions : int;
-  queue_depth : int;
   workers : int;
 }
 
@@ -40,15 +53,29 @@ type t = {
   cfg : config;
   n_sites : int;
   n_commodities : int;
-  pool : Omflp_prelude.Pool.t;
   addr : Listener.addr;
-  lfd : Unix.file_descr;
-  mutable accept_thr : Thread.t option;
-  m : Mutex.t;
-  conn_done : Condition.t;
+  lfd : Unix.file_descr;  (* nonblocking; every loop selects on it *)
+  m : Mutex.t;  (* guards [live], the only state the loops share *)
   live : (string, unit) Hashtbl.t;  (* connected session ids *)
-  mutable n_conns : int;  (* open connections, incl. pre-handshake *)
-  mutable stopping : bool;
+  stopping : bool Atomic.t;
+  mutable loops : unit Domain.t list;
+}
+
+type phase =
+  | Hello  (* the next line is the session-open handshake *)
+  | Serving of string * Session.t  (* session id, session *)
+  | Closing  (* finalized: the socket closes once the replies are out *)
+
+type conn = {
+  fd : Unix.file_descr;
+  mutable ib : Bytes.t;  (* input; bytes [lo, hi) are not yet stepped *)
+  mutable lo : int;
+  mutable scan : int;  (* bytes [lo, scan) hold no newline *)
+  mutable hi : int;
+  mutable eof : bool;  (* the peer sent its last byte *)
+  ob : Buffer.t;  (* replies not yet written *)
+  mutable phase : phase;
+  mutable line_no : int;  (* request lines after the hello *)
 }
 
 let accepted_c = Metrics.counter "server.accepted"
@@ -57,9 +84,20 @@ let rejected_c = Metrics.counter "server.rejected"
 let request_errors_c = Metrics.counter "server.request_errors"
 let latency_h = Metrics.histogram "server.latency_s"
 
-let drain_batch = 32
+let batch = 32  (* lines stepped per connection per turn *)
+let chunk = 65536  (* bytes read per connection per turn *)
+let max_line = 65536  (* longest line a connection may send *)
+let fd_setsize = 1024  (* select's descriptor bound *)
+let accept_rest_s = 0.1  (* listener rest after a failed accept *)
 
 let fail fmt = Printf.ksprintf failwith fmt
+
+let message = function Failure m | Sys_error m -> m | e -> Printexc.to_string e
+
+(* Errors that leave a nonblocking socket as it was: try again later. *)
+let transient = function
+  | Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR -> true
+  | _ -> false
 
 let rec mkdir_p dir =
   if not (Sys.file_exists dir) then begin
@@ -70,7 +108,7 @@ let rec mkdir_p dir =
   else if not (Sys.is_directory dir) then
     fail "Server: checkpoint root %s exists and is not a directory" dir
 
-(* ---------- session opening (runs on the reader thread) ---------- *)
+(* ---------- session opening ---------- *)
 
 (* Admission control under the registry mutex: the id is claimed before
    the (slow, IO-heavy) session construction, so two connections racing
@@ -78,24 +116,23 @@ let rec mkdir_p dir =
    ids become checkpoint directory names under the root, so the id rule
    is re-checked here, at that boundary, whoever built the hello. *)
 let claim t (h : Wire.hello) =
-  Mutex.lock t.m;
-  let r =
-    if not (Wire.valid_session_id h.Wire.h_session) then
-      Error (Wire.invalid_session_id h.Wire.h_session)
-    else if t.stopping then Error "server is shutting down"
-    else if Hashtbl.mem t.live h.Wire.h_session then
-      Error (Printf.sprintf "session %S is already connected" h.Wire.h_session)
-    else if Hashtbl.length t.live >= t.cfg.max_sessions then
-      Error
-        (Printf.sprintf "server is at --max-sessions capacity (%d)"
-           t.cfg.max_sessions)
-    else begin
-      Hashtbl.add t.live h.Wire.h_session ();
-      Ok ()
-    end
-  in
-  Mutex.unlock t.m;
-  r
+  Mutex.protect t.m (fun () ->
+      if not (Wire.valid_session_id h.Wire.h_session) then
+        Error (Wire.invalid_session_id h.Wire.h_session)
+      else if Atomic.get t.stopping then Error "server is shutting down"
+      else if Hashtbl.mem t.live h.Wire.h_session then
+        Error
+          (Printf.sprintf "session %S is already connected" h.Wire.h_session)
+      else if Hashtbl.length t.live >= t.cfg.max_sessions then
+        Error
+          (Printf.sprintf "server is at --max-sessions capacity (%d)"
+             t.cfg.max_sessions)
+      else begin
+        Hashtbl.add t.live h.Wire.h_session ();
+        Ok ()
+      end)
+
+let unregister t id = Mutex.protect t.m (fun () -> Hashtbl.remove t.live id)
 
 (* Only the server-specific part: hello defaults and the per-session
    directory [root/ID]; [Session.start] opens the session as stdin mode
@@ -128,180 +165,294 @@ let open_session t (h : Wire.hello) =
   in
   (session, algo_name, reemit)
 
-(* ---------- teardown (either side, exactly once) ---------- *)
+(* ---------- one connection ---------- *)
 
-let finalize t conn =
-  if Conn.claim_finalize conn then begin
-    (match conn.Conn.session with
-    | None -> ()
-    | Some s ->
-        (try Session.close s
-         with Failure msg ->
-           Printf.eprintf "omflp serve: session close: %s\n%!" msg);
+let reply c line =
+  Buffer.add_string c.ob line;
+  Buffer.add_char c.ob '\n'
+
+(* Teardown, once per connection: close the session (final snapshot),
+   send the done record when the stream ended normally, and release the
+   session id. *)
+let finalize t c ~ok =
+  (match c.phase with
+  | Serving (id, s) ->
+      (try Session.close s
+       with e ->
+         Printf.eprintf "omflp serve: session %s: close: %s\n%!" id
+           (message e));
+      if ok then begin
         let _, _, total = Session.running_costs s in
-        ignore
-          (Conn.send_line conn
-             (Wire.done_to_json ~served:(Session.count s) ~total)));
-    Conn.close conn;
-    Mutex.lock t.m;
-    Option.iter (Hashtbl.remove t.live) conn.Conn.session_id;
-    t.n_conns <- t.n_conns - 1;
-    Condition.broadcast t.conn_done;
-    Mutex.unlock t.m
+        reply c (Wire.done_to_json ~served:(Session.count s) ~total)
+      end;
+      unregister t id
+  | Hello | Closing -> ());
+  c.phase <- Closing
+
+(* A refused handshake, or a fatal session error (checkpoint IO,
+   algorithm invariant, an overlong line): tell the client and finalize
+   without a done record. The WAL-before-decision write order makes a
+   failed step exactly the crash-window shape a later resume replays. *)
+let abort t c msg =
+  (match c.phase with
+  | Serving (id, _) -> Printf.eprintf "omflp serve: session %s: %s\n%!" id msg
+  | Hello | Closing -> Metrics.incr rejected_c);
+  reply c (Wire.error_to_json msg);
+  finalize t c ~ok:false
+
+(* Advances [scan] to the next newline: true when a complete line is
+   buffered. *)
+let has_line c =
+  while c.scan < c.hi && Bytes.unsafe_get c.ib c.scan <> '\n' do
+    c.scan <- c.scan + 1
+  done;
+  c.scan < c.hi
+
+(* Something to step: a complete line, the end of input, or a line
+   already past the bound — and no unsent reply ahead of it. *)
+let ready c =
+  match c.phase with
+  | Closing -> false
+  | Hello | Serving _ ->
+      Buffer.length c.ob = 0
+      && (has_line c || c.eof || c.hi - c.lo > max_line)
+
+(* The next complete line; after end of input, an unterminated last
+   line too. *)
+let next_line c =
+  let complete = has_line c in
+  if c.scan - c.lo > max_line then fail "line longer than %d bytes" max_line;
+  if complete || (c.eof && c.lo < c.hi) then begin
+    let line = Bytes.sub_string c.ib c.lo (c.scan - c.lo) in
+    c.lo <- min c.hi (c.scan + 1);
+    c.scan <- c.lo;
+    Some line
   end
+  else None
 
-(* ---------- drain (runs on pool worker domains) ---------- *)
+let hello t c line =
+  match Wire.parse_hello line with
+  | Error e -> abort t c ("bad handshake: " ^ e)
+  | Ok h -> (
+      match claim t h with
+      | Error e -> abort t c e
+      | Ok () ->
+          let id = h.Wire.h_session in
+          let session, algo_name, reemit =
+            try open_session t h
+            with e ->
+              unregister t id;
+              raise e
+          in
+          Metrics.incr sessions_c;
+          c.phase <- Serving (id, session);
+          reply c
+            (Wire.ack_to_json
+               {
+                 Wire.a_session = id;
+                 a_algo = algo_name;
+                 a_served = Session.count session;
+                 a_reemitted = List.length reemit;
+               });
+          List.iter (fun d -> reply c (Wire.decision_to_json d)) reemit)
 
-let rec drain t conn budget =
-  if budget <= 0 then
-    (* Yield the worker: requeue behind other runnable connections. *)
-    schedule t conn
-  else
-    match Conn.take conn ~max:budget with
-    | Conn.Idle -> ()
-    | Conn.Finished -> finalize t conn
-    | Conn.Batch rs -> (
-        match conn.Conn.session with
-        | None -> assert false (* requests only flow after the handshake *)
-        | Some s -> (
-            let t0 = Metrics.now () in
-            match Session.handle_batch s rs with
-            | ds ->
-                let n = Array.length ds in
-                let latency_s =
-                  (Metrics.now () -. t0) /. float_of_int (max 1 n)
-                in
-                Array.iter
-                  (fun d ->
-                    Metrics.observe latency_h latency_s;
-                    if not conn.Conn.dead then
-                      ignore
-                        (Conn.send_fill conn (fun b ->
-                             Wire.decision_to_buffer ~latency_s b d)))
-                  ds;
-                drain t conn (budget - n)
-            | exception Failure msg ->
-                (* Fatal for this session (checkpoint IO, algorithm
-                   invariant): tell the client, stop its reader, and let
-                   the Finished path run the usual finalization — the
-                   WAL-before-decision write order makes this exactly the
-                   crash-window shape a later resume can replay. *)
-                Printf.eprintf "omflp serve: session %s: %s\n%!"
-                  (Option.value conn.Conn.session_id ~default:"?")
-                  msg;
-                ignore (Conn.send_line conn (Wire.error_to_json msg));
-                Conn.abort conn;
-                drain t conn budget))
+let answer c s reqs =
+  let t0 = Metrics.now () in
+  let ds = Session.handle_batch s reqs in
+  let latency_s = (Metrics.now () -. t0) /. float_of_int (Array.length ds) in
+  Array.iter
+    (fun d ->
+      Metrics.observe latency_h latency_s;
+      Wire.decision_to_buffer ~latency_s c.ob d;
+      Buffer.add_char c.ob '\n')
+    ds
 
-and schedule t conn =
-  Omflp_prelude.Pool.submit t.pool (fun () ->
-      try drain t conn drain_batch
-      with e ->
-        (* Backstop: a drain task must never kill its worker domain. *)
-        Printf.eprintf "omflp serve: drain: %s\n%!" (Printexc.to_string e);
-        Conn.abort conn;
-        finalize t conn)
-
-(* ---------- reader threads ---------- *)
-
-let refuse t conn msg =
-  Metrics.incr rejected_c;
-  ignore (Conn.send_line conn (Wire.error_to_json msg));
-  finalize t conn
-
-let stream_loop t conn =
-  let line_no = ref 0 in
-  let rec loop () =
-    match Conn.input_line_opt conn with
-    | None -> if Conn.finish_input conn then schedule t conn
-    | Some line ->
-        incr line_no;
-        (if String.trim line <> "" then
-           match
-             Wire.parse_request ~n_sites:t.n_sites
-               ~n_commodities:t.n_commodities line
-           with
-           | Error e ->
-               Metrics.incr request_errors_c;
-               ignore
-                 (Conn.send_line conn
-                    (Wire.error_to_json
-                       (Printf.sprintf "line %d: %s" !line_no e)))
-           | Ok r -> if Conn.push conn r then schedule t conn);
-        loop ()
+(* Steps up to [batch] lines in order. Consecutive requests go to the
+   session as one batch; a bad line's error is replied after the
+   decisions of the lines before it. *)
+let step_lines t c =
+  (* [rs]: the requests gathered for the next batch, newest first. *)
+  let flush rs =
+    match (rs, c.phase) with
+    | _ :: _, Serving (_, s) -> answer c s (Array.of_list (List.rev rs))
+    | _ -> ()
   in
-  loop ()
+  let rec go k rs =
+    match c.phase with
+    | Closing -> ()
+    | (Hello | Serving _) when k = 0 -> flush rs
+    | phase -> (
+        match (next_line c, phase) with
+        | None, _ ->
+            flush rs;
+            if c.eof then finalize t c ~ok:true
+        | Some line, Hello ->
+            hello t c line;
+            go (k - 1) rs
+        | Some line, _ -> (
+            c.line_no <- c.line_no + 1;
+            if String.trim line = "" then go (k - 1) rs
+            else
+              match
+                Wire.parse_request ~n_sites:t.n_sites
+                  ~n_commodities:t.n_commodities line
+              with
+              | Ok r -> go (k - 1) (r :: rs)
+              | Error e ->
+                  flush rs;
+                  Metrics.incr request_errors_c;
+                  reply c
+                    (Wire.error_to_json
+                       (Printf.sprintf "line %d: %s" c.line_no e));
+                  go (k - 1) []))
+  in
+  (* The one handler: whatever a step raises aborts only this session. *)
+  try go batch [] with e -> abort t c (message e)
 
-let reader t conn =
-  match Conn.input_line_opt conn with
-  | None -> finalize t conn
-  | Some hello_line -> (
-      match Wire.parse_hello hello_line with
-      | Error e -> refuse t conn (Printf.sprintf "bad handshake: %s" e)
-      | Ok hello -> (
-          match claim t hello with
-          | Error e -> refuse t conn e
-          | Ok () -> (
-              conn.Conn.session_id <- Some hello.Wire.h_session;
-              match open_session t hello with
-              | exception Failure msg -> refuse t conn msg
-              | session, algo_name, reemit ->
-                  Metrics.incr sessions_c;
-                  conn.Conn.session <- Some session;
-                  let ack =
-                    Wire.ack_to_json
-                      {
-                        Wire.a_session = hello.Wire.h_session;
-                        a_algo = algo_name;
-                        a_served = Session.count session;
-                        a_reemitted = List.length reemit;
-                      }
-                  in
-                  if Conn.send_line conn ack then begin
-                    List.iter
-                      (fun d ->
-                        ignore (Conn.send_line conn (Wire.decision_to_json d)))
-                      reemit;
-                    stream_loop t conn
-                  end
-                  else begin
-                    (* Peer vanished between connect and ack: still close
-                       the session cleanly (final snapshot). *)
-                    ignore (Conn.finish_input conn);
-                    drain t conn drain_batch
-                  end)))
+let read_chunk c rbuf =
+  match Unix.read c.fd rbuf 0 chunk with
+  | 0 -> c.eof <- true
+  | n ->
+      let len = c.hi - c.lo in
+      if len + n > Bytes.length c.ib then begin
+        let ib = Bytes.create (max (len + n) (2 * Bytes.length c.ib)) in
+        Bytes.blit c.ib c.lo ib 0 len;
+        c.ib <- ib
+      end
+      else Bytes.blit c.ib c.lo c.ib 0 len;
+      Bytes.blit rbuf 0 c.ib len n;
+      c.scan <- c.scan - c.lo;
+      c.lo <- 0;
+      c.hi <- len + n
+  | exception Unix.Unix_error (e, _, _) when transient e -> ()
+  | exception Unix.Unix_error _ -> c.eof <- true (* reset: end of input *)
+
+(* One [write] of the pending replies; the socket keeps what it takes.
+   A failed write means the peer is gone: finalize, dropping the
+   replies and any unstepped lines (they are not in the WAL, so a
+   resume asks for them again). *)
+let write_out t c =
+  let n = Buffer.length c.ob in
+  if n > 0 then
+    let s = Buffer.contents c.ob in
+    match Unix.single_write_substring c.fd s 0 n with
+    | k ->
+        Buffer.clear c.ob;
+        if k < n then Buffer.add_substring c.ob s k (n - k)
+    | exception Unix.Unix_error (e, _, _) when transient e -> ()
+    | exception Unix.Unix_error _ ->
+        Buffer.clear c.ob;
+        finalize t c ~ok:false
+
+(* One turn for one connection; false once it is closed. *)
+let serve_conn t rbuf r w c =
+  if List.mem c.fd r then read_chunk c rbuf;
+  let stepped = ready c in
+  if stepped then step_lines t c;
+  if stepped || List.mem c.fd w then write_out t c;
+  match c.phase with
+  | Closing when Buffer.length c.ob = 0 ->
+      (try Unix.close c.fd with Unix.Unix_error _ -> ());
+      false
+  | Hello | Serving _ | Closing -> true
+
+(* ---------- the loop ---------- *)
+
+(* [select] fails the whole call, and so every session of the loop, for
+   a descriptor at or above FD_SETSIZE: probe each accepted one and
+   refuse it before it joins a loop. *)
+let admit fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ ->
+      Unix.set_nonblock fd;
+      Some
+        {
+          fd;
+          ib = Bytes.create 256;
+          lo = 0;
+          scan = 0;
+          hi = 0;
+          eof = false;
+          ob = Buffer.create 1024;
+          phase = Hello;
+          line_no = 0;
+        }
+  | exception Unix.Unix_error (Unix.EINVAL, _, _) ->
+      Metrics.incr rejected_c;
+      let refusal =
+        Wire.error_to_json
+          (Printf.sprintf
+             "server is at its descriptor limit (select handles descriptors \
+              below %d)"
+             fd_setsize)
+        ^ "\n"
+      in
+      (try ignore (Unix.write_substring fd refusal 0 (String.length refusal))
+       with Unix.Unix_error _ -> ());
+      (try Unix.close fd with Unix.Unix_error _ -> ());
+      None
+
+(* One accept per turn, so a burst spreads over the loops: the loop
+   that took a connection serves its turn while an idle loop takes the
+   next (on two loops, 8-session bursts mostly split 4/4; draining the
+   backlog in one turn mostly split them 5/3). False when the listener
+   must rest (EMFILE and the like: the backlog keeps the connection
+   until a descriptor frees). *)
+let accept_one t conns =
+  match Unix.accept ~cloexec:true t.lfd with
+  | fd, _ ->
+      Metrics.incr accepted_c;
+      Option.iter (fun c -> conns := c :: !conns) (admit fd);
+      true
+  | exception Unix.Unix_error (e, _, _)
+    when transient e || e = Unix.ECONNABORTED ->
+      true
+  | exception Unix.Unix_error (e, _, _) ->
+      if not (Atomic.get t.stopping) then
+        Printf.eprintf "omflp serve: accept: %s\n%!" (Unix.error_message e);
+      false
+
+let serve_loop t =
+  let rbuf = Bytes.create chunk in
+  let conns = ref [] in
+  let rest_until = ref 0.0 in
+  let rec turn () =
+    match (!conns, Atomic.get t.stopping) with
+    | [], true -> ()
+    | _, stopping ->
+      let rest =
+        if !rest_until = 0.0 then 0.0 else !rest_until -. Unix.gettimeofday ()
+      in
+      if rest <= 0.0 then rest_until := 0.0;
+      let listening = (not stopping) && rest <= 0.0 in
+      let rd, wr, busy =
+        List.fold_left
+          (fun (rd, wr, busy) c ->
+            if Buffer.length c.ob > 0 then (rd, c.fd :: wr, busy)
+            else if ready c then (rd, wr, true)
+            else (c.fd :: rd, wr, busy))
+          ((if listening then [ t.lfd ] else []), [], false)
+          !conns
+      in
+      let timeout = if busy then 0.0 else if rest > 0.0 then rest else -1.0 in
+      (match Unix.select rd wr [] timeout with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+      | r, w, _ ->
+          if listening && List.mem t.lfd r && not (accept_one t conns) then
+            rest_until := Unix.gettimeofday () +. accept_rest_s;
+          conns := List.filter (serve_conn t rbuf r w) !conns);
+      turn ()
+  in
+  turn ()
 
 (* ---------- lifecycle ---------- *)
 
-let rec accept_loop t =
-  match Unix.accept ~cloexec:true t.lfd with
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_loop t
-  | exception Unix.Unix_error (Unix.ECONNABORTED, _, _) -> accept_loop t
-  | exception Unix.Unix_error _ when t.stopping -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "omflp serve: accept: %s\n%!" (Unix.error_message e)
-  | fd, _ ->
-      if t.stopping then (
-        (try Unix.close fd with Unix.Unix_error _ -> ());
-        ())
-      else begin
-        Metrics.incr accepted_c;
-        Mutex.lock t.m;
-        t.n_conns <- t.n_conns + 1;
-        Mutex.unlock t.m;
-        let conn = Conn.of_fd ~cap:t.cfg.queue_depth fd in
-        ignore (Thread.create (fun () -> reader t conn) ());
-        accept_loop t
-      end
-
-let start cfg =
+let bind cfg =
   if cfg.workers < 1 then invalid_arg "Server.start: workers must be >= 1";
   if cfg.max_sessions < 1 then
     invalid_arg "Server.start: max_sessions must be >= 1";
   if cfg.snapshot_every < 1 then
     invalid_arg "Server.start: snapshot_every must be >= 1";
-  if cfg.queue_depth < 1 then
-    invalid_arg "Server.start: queue_depth must be >= 1";
   (* A client that vanishes mid-write must surface as a write error on
      our side, not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
@@ -313,67 +464,48 @@ let start cfg =
     | Error e -> fail "Server: bad --listen address: %s" e
   in
   let lfd = Listener.listen addr in
-  let t =
-    {
-      cfg;
-      n_sites = Instance.n_sites cfg.env;
-      n_commodities = Instance.n_commodities cfg.env;
-      (* [workers + 1] because the pool's creating "caller slot" is the
-         accept thread, which never helps drain — submitted tasks run on
-         the [workers] spawned domains only. *)
-      pool = Omflp_prelude.Pool.create ~jobs:(cfg.workers + 1);
-      addr;
-      lfd;
-      accept_thr = None;
-      m = Mutex.create ();
-      conn_done = Condition.create ();
-      live = Hashtbl.create 64;
-      n_conns = 0;
-      stopping = false;
-    }
-  in
-  t.accept_thr <- Some (Thread.create accept_loop t);
+  Unix.set_nonblock lfd;
+  {
+    cfg;
+    n_sites = Instance.n_sites cfg.env;
+    n_commodities = Instance.n_commodities cfg.env;
+    addr;
+    lfd;
+    m = Mutex.create ();
+    live = Hashtbl.create 64;
+    stopping = Atomic.make false;
+    loops = [];
+  }
+
+let spawn_loops t n =
+  t.loops <- List.init n (fun _ -> Domain.spawn (fun () -> serve_loop t))
+
+let start cfg =
+  let t = bind cfg in
+  spawn_loops t cfg.workers;
   t
 
 let listening t = Listener.pp_addr t.addr
 
-let active_sessions t =
-  Mutex.lock t.m;
-  let n = Hashtbl.length t.live in
-  Mutex.unlock t.m;
-  n
+let active_sessions t = Mutex.protect t.m (fun () -> Hashtbl.length t.live)
 
 let stop t =
-  Mutex.lock t.m;
-  t.stopping <- true;
-  Mutex.unlock t.m;
-  (* Wake a blocked [accept]: shutdown works on Linux; the dummy connect
-     covers platforms where it does not. *)
+  Atomic.set t.stopping true;
+  (* Shutting the listener down makes it readable, waking every loop. *)
   (try Unix.shutdown t.lfd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
-  (try Unix.close (Listener.connect_addr t.addr)
-   with Failure _ | Unix.Unix_error _ -> ());
-  Option.iter Thread.join t.accept_thr;
-  t.accept_thr <- None;
-  (* Let live connections finish: clients half-close when done, drains
-     finalize, and the registry empties. *)
-  Mutex.lock t.m;
-  while t.n_conns > 0 do
-    Condition.wait t.conn_done t.m
-  done;
-  Mutex.unlock t.m;
+  List.iter Domain.join t.loops;
+  t.loops <- [];
   (try Unix.close t.lfd with Unix.Unix_error _ -> ());
-  Listener.cleanup t.addr;
-  Omflp_prelude.Pool.shutdown t.pool
+  Listener.cleanup t.addr
 
 let run cfg =
-  let t = start cfg in
+  let t = bind cfg in
+  spawn_loops t (cfg.workers - 1);
   Printf.eprintf
-    "omflp serve: listening on %s (%d worker domain%s, max %d sessions, \
-     queue depth %d)\n\
-     %!"
+    "omflp serve: listening on %s (%d event loop%s, max %d sessions)\n%!"
     (listening t) cfg.workers
     (if cfg.workers = 1 then "" else "s")
-    cfg.max_sessions cfg.queue_depth;
+    cfg.max_sessions;
   (* Runs until the process is killed; durability is the checkpoint
      root's business, not a shutdown handler's. *)
-  Option.iter Thread.join t.accept_thr
+  serve_loop t

@@ -14,7 +14,8 @@ type t = {
       (* count the last snapshot this session wrote covers; -1 none *)
   mutable n_facilities_seen : int;
   (* Reused per-session scratch for batched WAL/decision appends; a
-     session is drained by one worker at a time, so no lock. *)
+     session is stepped by the one loop that owns its connection, so no
+     lock. *)
   wal_buf : Buffer.t;
   dec_buf : Buffer.t;
 }
@@ -115,7 +116,7 @@ let flush_decisions t =
    the whole batch are made durable in one flush before any step runs,
    every request is then stepped in arrival order, and the decision
    lines land in one flush at the end — so how a stream is cut into
-   batches (one request each on stdin, up to a drain budget on a socket)
+   batches (one request each on stdin, up to a turn's 32 lines on a socket)
    never changes a logged byte. A crash or a failing step mid-batch
    leaves the standard crash-window shape (WAL ahead of decisions); the
    decisions of the stepped prefix are flushed before the error
@@ -262,6 +263,9 @@ let close t =
   match t.checkpoint with
   | None -> ()
   | Some cp ->
-      (* The cadence may already have written this count's snapshot. *)
-      if t.snapshot_count <> t.count then take_snapshot t;
-      Checkpoint.close cp
+      (* The cadence may already have written this count's snapshot. The
+         logs close even when that write fails, so a long-running server
+         does not leak their descriptors. *)
+      Fun.protect
+        ~finally:(fun () -> Checkpoint.close cp)
+        (fun () -> if t.snapshot_count <> t.count then take_snapshot t)

@@ -90,5 +90,6 @@ val running_costs : t -> float * float * float
 
 (** [close t] writes a final snapshot, unless this session's cadence
     already wrote one at the current count, and closes the checkpoint
-    (no-op without one). *)
+    (no-op without one). The checkpoint's logs are closed even when the
+    snapshot write raises. *)
 val close : t -> unit

@@ -636,8 +636,7 @@ let with_server_root f =
   Unix.mkdir root 0o755;
   f root
 
-let server_config ~root ~env ?(max_sessions = 64) ?(queue_depth = 4)
-    ?(workers = 2) () =
+let server_config ~root ~env ?(max_sessions = 64) ?(workers = 2) () =
   {
     Server.listen = Filename.concat root "srv.sock";
     algo = Pd_omflp.name;
@@ -647,7 +646,6 @@ let server_config ~root ~env ?(max_sessions = 64) ?(queue_depth = 4)
     snapshot_every = 4;
     seed = 0;
     max_sessions;
-    queue_depth;
     workers;
   }
 
@@ -655,8 +653,9 @@ let server_config ~root ~env ?(max_sessions = 64) ?(queue_depth = 4)
    stream a distinct rotation (wrapping past the instance length, so
    snapshots fire mid-stream), durable logs byte-identical to the same
    streams served by a plain single-session [Session] — which is what
-   stdin mode drives. The queue depth of 4 against a window of 5 also
-   forces the backpressure path. *)
+   stdin mode drives. A window of 5 keeps several requests in flight
+   per session, so one read can carry several lines and they are
+   stepped as one batch; the sessions share the server's two loops. *)
 let test_server_multi_client_byte_identical () =
   let inst, _ = scenario 0 in
   let n = Instance.n_requests inst in
@@ -817,6 +816,10 @@ let request_line (r : Request.t) =
        (List.map string_of_int
           (Omflp_commodity.Cset.elements r.Request.demand)))
 
+let reap pid =
+  (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+  try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
+
 (* Drive the real binary: open a session over the socket, serve half the
    stream, SIGKILL the server process mid-flight, restart it on the same
    checkpoint root, resume the session by handshake, finish the stream —
@@ -840,10 +843,6 @@ let test_server_sigkill_resume () =
         "--seed"; "0";
       |]
       Unix.stdin Unix.stdout devnull
-  in
-  let reap pid =
-    (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-    try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()
   in
   let request_lines = Array.map request_line inst.Instance.requests in
   let pid = ref (spawn ()) in
@@ -1039,6 +1038,66 @@ let test_stdin_eof_then_resume () =
     "decision log equals the straight-through run" (reference_decisions inst)
     (read_lines (Filename.concat dir "decisions.jsonl"))
 
+(* ---------- socket clients with a deadline ---------- *)
+
+(* The next line from [fd], failing the test when none arrives within
+   10 s. It reads under SO_RCVTIMEO, not [select], so it also works on a
+   descriptor at or above FD_SETSIZE. *)
+let recv_within fd =
+  Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.0;
+  let b = Buffer.create 128 and c = Bytes.create 1 in
+  let rec go () =
+    match Unix.read fd c 0 1 with
+    | 0 -> Alcotest.fail "the server closed the connection mid-line"
+    | _ when Bytes.get c 0 = '\n' -> Buffer.contents b
+    | _ ->
+        Buffer.add_char b (Bytes.get c 0);
+        go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        Alcotest.fail "no line from the server within 10 s"
+  in
+  go ()
+
+let server_line_within fd =
+  match Wire.parse_server_line (recv_within fd) with
+  | Ok l -> l
+  | Error e -> Alcotest.failf "unparseable server line: %s" e
+
+let write_line fd line =
+  let s = line ^ "\n" in
+  ignore (Unix.write_substring fd s 0 (String.length s))
+
+(* Writes as much of [s] as the socket takes without blocking. *)
+let send_what_fits fd s =
+  Unix.set_nonblock fd;
+  let rec go off =
+    if off < String.length s then
+      match Unix.single_write_substring fd s off (String.length s - off) with
+      | n -> go (off + n)
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+          ()
+  in
+  go 0;
+  Unix.clear_nonblock fd
+
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* A whole session on [fd]: hello, ack, one request and a half-close,
+   its decision, the done record. *)
+let one_request_session fd id request =
+  write_line fd (hello_line id);
+  (match server_line_within fd with
+  | Wire.Ack _ -> ()
+  | _ -> Alcotest.failf "session %s: expected an ack" id);
+  write_line fd request;
+  Unix.shutdown fd Unix.SHUTDOWN_SEND;
+  (match server_line_within fd with
+  | Wire.Decision_line 0 -> ()
+  | _ -> Alcotest.failf "session %s: expected decision 0" id);
+  match server_line_within fd with
+  | Wire.Done (1, _) -> ()
+  | _ -> Alcotest.failf "session %s: expected a done record" id
+
 (* The metrics registry is process-global and never frees a name, so a
    long-running server must not register one per session id: serving 50
    sessions with distinct ids leaves the registry the size it had after
@@ -1052,21 +1111,9 @@ let test_server_metric_names_bounded () =
   let request = request_line inst.Instance.requests.(0) in
   let serve_one id =
     let fd = Listener.connect cfg.Server.listen in
-    let ic = Unix.in_channel_of_descr fd in
-    let oc = Unix.out_channel_of_descr fd in
-    send_line oc (hello_line id);
-    (match recv_line ic with
-    | Wire.Ack _ -> ()
-    | _ -> Alcotest.failf "session %s: expected an ack" id);
-    send_line oc request;
-    Unix.shutdown fd Unix.SHUTDOWN_SEND;
-    (match recv_line ic with
-    | Wire.Decision_line 0 -> ()
-    | _ -> Alcotest.failf "session %s: expected decision 0" id);
-    (match recv_line ic with
-    | Wire.Done (1, _) -> ()
-    | _ -> Alcotest.failf "session %s: expected a done record" id);
-    Unix.close fd
+    Fun.protect
+      ~finally:(fun () -> Unix.close fd)
+      (fun () -> one_request_session fd id request)
   in
   let n_counters () =
     List.length (Omflp_obs.Metrics.snapshot ()).Omflp_obs.Metrics.counters
@@ -1077,6 +1124,191 @@ let test_server_metric_names_bounded () =
     serve_one (Printf.sprintf "m%d" i)
   done;
   check_int "counter names after 50 session ids" after_first (n_counters ())
+
+(* ---------- the event loop: stalls, bounds, accept errors ---------- *)
+
+(* A client that streams requests and never reads the replies stalls
+   only its own session: on a one-loop server, another session still
+   gets its decisions. *)
+let test_server_stuck_reader_stalls_only_itself () =
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let cfg =
+    {
+      (server_config ~root ~env:inst ~workers:1 ()) with
+      Server.checkpoint_root = None;
+    }
+  in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let request = request_line inst.Instance.requests.(0) in
+  let a = Listener.connect cfg.Server.listen in
+  let b = ref None in
+  Fun.protect
+    ~finally:(fun () ->
+      close_quietly a;
+      Option.iter close_quietly !b)
+  @@ fun () ->
+  let stream = Buffer.create (1 lsl 20) in
+  Buffer.add_string stream (hello_line "a" ^ "\n");
+  for _ = 1 to 40_000 do
+    Buffer.add_string stream (request ^ "\n")
+  done;
+  send_what_fits a (Buffer.contents stream);
+  (* Let the server fill a's socket with replies nobody reads. *)
+  Unix.sleepf 0.5;
+  let fd = Listener.connect cfg.Server.listen in
+  b := Some fd;
+  one_request_session fd "b" request
+
+(* No line grows without bound: 200,000 bytes with no newline get the
+   error naming the bound, and the server closes the connection. *)
+let test_server_line_bound () =
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let cfg = server_config ~root ~env:inst ~workers:1 () in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let fd = Listener.connect cfg.Server.listen in
+  Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
+  send_what_fits fd (String.make 200_000 'x');
+  (match server_line_within fd with
+  | Wire.Refused e ->
+      check_string "error names the bound" "line longer than 65536 bytes" e
+  | _ -> Alcotest.fail "expected the line-bound error");
+  check_bool "then the connection closes" true
+    (match Unix.read fd (Bytes.create 1) 0 1 with
+    | n -> n = 0
+    | exception Unix.Unix_error (Unix.ECONNRESET, _, _) -> true)
+
+(* [select] cannot watch a descriptor at or above FD_SETSIZE (1024): a
+   connection accepted on one is refused by name, and once descriptors
+   free up the next connection is served. *)
+let test_server_descriptor_cap () =
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let cfg = server_config ~root ~env:inst ~workers:1 () in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
+  let held = ref [] in
+  let release () =
+    List.iter close_quietly !held;
+    held := []
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      release ();
+      Unix.close null)
+  @@ fun () ->
+  (try
+     for _ = 1 to 1100 do
+       held := Unix.dup ~cloexec:true null :: !held
+     done
+   with Unix.Unix_error (Unix.EMFILE, _, _) ->
+     release ();
+     Alcotest.skip ());
+  let fd = Listener.connect cfg.Server.listen in
+  (match
+     Fun.protect
+       ~finally:(fun () -> close_quietly fd)
+       (fun () -> server_line_within fd)
+   with
+  | Wire.Refused e ->
+      check_bool "refusal names the descriptor limit" true
+        (contains ~sub:"descriptor limit" e)
+  | _ -> Alcotest.fail "expected a descriptor-limit refusal");
+  release ();
+  let fd = Listener.connect cfg.Server.listen in
+  Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
+  one_request_session fd "low" (request_line inst.Instance.requests.(0))
+
+(* Whatever a step raises aborts only its session, with an error line:
+   a snapshot write failing with [Sys_error] (the session's checkpoint
+   directory is gone) reaches the client, the session's log descriptors
+   are closed, and the server goes on serving. *)
+let test_server_step_error_aborts_session () =
+  if not (Sys.file_exists "/proc/self/fd") then Alcotest.skip ();
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let cfg = server_config ~root ~env:inst ~workers:1 () in
+  let server = Server.start cfg in
+  Fun.protect ~finally:(fun () -> Server.stop server) @@ fun () ->
+  let request = request_line inst.Instance.requests.(0) in
+  let dir = Filename.concat (Filename.concat root "cps") "doomed" in
+  let fd = Listener.connect cfg.Server.listen in
+  Fun.protect
+    ~finally:(fun () -> close_quietly fd)
+    (fun () ->
+      write_line fd (hello_line ~snapshot_every:1 "doomed");
+      (match server_line_within fd with
+      | Wire.Ack _ -> ()
+      | _ -> Alcotest.fail "expected an ack");
+      rm_rf dir;
+      write_line fd request;
+      match server_line_within fd with
+      | Wire.Refused e ->
+          check_bool "the error reaches the client" true
+            (contains ~sub:"No such file or directory" e)
+      | _ -> Alcotest.fail "expected the step's error line");
+  let open_under_dir =
+    Sys.readdir "/proc/self/fd"
+    |> Array.exists (fun n ->
+           match Unix.readlink (Filename.concat "/proc/self/fd" n) with
+           | target -> contains ~sub:dir target
+           | exception Unix.Unix_error _ -> false)
+  in
+  check_bool "the session's logs are closed" false open_under_dir;
+  let fd = Listener.connect cfg.Server.listen in
+  Fun.protect ~finally:(fun () -> close_quietly fd) @@ fun () ->
+  one_request_session fd "next" request
+
+(* An accept error must not end the server: under a 32-descriptor limit,
+   40 idle connections run it out of descriptors; once they close, a
+   real session is served and the process is still running. *)
+let test_server_survives_emfile () =
+  if not (Sys.file_exists cli_binary) then Alcotest.skip ();
+  let inst, _ = scenario 0 in
+  with_server_root @@ fun root ->
+  let env_file = Filename.concat root "env.inst" in
+  Serial.save_file env_file inst;
+  let sock = Filename.concat root "srv.sock" in
+  let log = Filename.concat root "serve.log" in
+  let pid =
+    let logfd = Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 in
+    Fun.protect
+      ~finally:(fun () -> Unix.close logfd)
+      (fun () ->
+        Unix.create_process "sh"
+          [|
+            "sh"; "-c";
+            {|ulimit -n 32; exec "$0" serve --env "$1" --listen "$2" --workers 2 --seed 0|};
+            cli_binary; env_file; sock;
+          |]
+          Unix.stdin Unix.stdout logfd)
+  in
+  Fun.protect ~finally:(fun () -> reap pid) @@ fun () ->
+  let idle = List.init 40 (fun _ -> wait_connect sock) in
+  let ran_out () =
+    contains ~sub:"accept: Too many open files"
+      (In_channel.with_open_bin log In_channel.input_all)
+  in
+  let rec await tries =
+    if tries > 0 && not (ran_out ()) then begin
+      Unix.sleepf 0.05;
+      await (tries - 1)
+    end
+  in
+  await 200;
+  check_bool "the server logged the accept error" true (ran_out ());
+  List.iter close_quietly idle;
+  let fd = wait_connect sock in
+  Fun.protect
+    ~finally:(fun () -> close_quietly fd)
+    (fun () ->
+      one_request_session fd "real" (request_line inst.Instance.requests.(0)));
+  check_bool "the server is still running" true
+    (fst (Unix.waitpid [ Unix.WNOHANG ] pid) = 0)
 
 let test_create_refuses_live_directory () =
   with_temp_dir @@ fun dir ->
@@ -1228,5 +1460,15 @@ let () =
             test_server_sigkill_resume;
           Alcotest.test_case "stdin logs byte-identical to a socket session"
             `Quick test_stdin_matches_socket_session;
+          Alcotest.test_case "a client that stops reading stalls only itself"
+            `Quick test_server_stuck_reader_stalls_only_itself;
+          Alcotest.test_case "request lines are bounded" `Quick
+            test_server_line_bound;
+          Alcotest.test_case "descriptors past FD_SETSIZE are refused" `Quick
+            test_server_descriptor_cap;
+          Alcotest.test_case "accept errors do not end the server" `Quick
+            test_server_survives_emfile;
+          Alcotest.test_case "a failing step aborts only its session" `Quick
+            test_server_step_error_aborts_session;
         ] );
     ]
