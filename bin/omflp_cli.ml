@@ -570,17 +570,20 @@ let serve_cmd =
       value
       & opt int 16
       & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Snapshot the algorithm state every $(docv) requests.")
+          ~doc:
+            "Checkpoint the algorithm state every $(docv) requests: append \
+             what changed since the previous checkpoint, or rewrite the \
+             snapshot whole once those deltas outgrow it.")
   in
   let resume_arg =
     Arg.(
       value & flag
       & info [ "resume" ]
           ~doc:
-            "Resume the session in --checkpoint: restore the latest \
-             snapshot, replay the uncovered WAL suffix, re-emit decisions \
-             lost in the crash window, and skip that many already-served \
-             leading input lines.")
+            "Resume the session in --checkpoint: restore the snapshot \
+             (dropping a last segment the crash tore), replay the uncovered \
+             WAL suffix, re-emit decisions lost in the crash window, and \
+             skip that many already-served leading input lines.")
   in
   let listen_arg =
     Arg.(

@@ -37,19 +37,28 @@ module type ALGO = sig
       instead of materializing a full {!Run.t}. *)
   val store : t -> Facility_store.t
 
-  (** [snapshot t] serializes the algorithm's complete mutable state
-      (store, per-algorithm scratch that is not a pure function of the
-      inputs, and any RNG position) as an opaque versioned blob.
+  (** [snapshot t] returns the next segment of [t]'s snapshot stream
+      ({!Omflp_prelude.Snapshot_codec}): what changed in the algorithm's
+      mutable state (store, per-algorithm scratch that is not a pure
+      function of the inputs, and any RNG position) since [t]'s previous
+      [snapshot]. A fresh or freshly restored state's first segment is a
+      base, the delta against the empty state, and so is any segment
+      the stream decides to compact into; an algorithm without a delta
+      writer returns a base every time. Each segment carries the number
+      of requests [t] has served.
 
-      [restore env blob] revives that state against the same environment.
-      The contract is {e byte-identical continuation}: for any request
-      sequence, interleaving [snapshot]/[restore] at any point yields
-      exactly the decisions, facility ids, and cost floats of the
-      uninterrupted run. [restore] raises [Failure] (never a decode crash
-      on the envelope) when the blob belongs to another algorithm or
-      format version, or when [env]'s family doesn't match the declared
-      one; blobs are trusted beyond the envelope tag, so integrity-check
-      bytes of unknown provenance before calling it. *)
+      [restore env chain] folds a chain — a base and the segments
+      [snapshot] returned after it, concatenated — and revives the state
+      the last segment leaves, against the same environment. The
+      contract is {e byte-identical continuation}: for any request
+      sequence, cutting the run at any point, restoring the chain written
+      so far and continuing yields exactly the decisions, facility ids,
+      and cost floats of the uninterrupted run. [restore] raises
+      [Failure] (never a decode crash) when a segment belongs to another
+      algorithm or format version, when the chain is truncated, damaged
+      or out of order (each segment's MD5 is checked), or when [env]'s
+      family doesn't match the declared one; payloads are trusted beyond
+      those checks. *)
   val snapshot : t -> string
 
   val restore : Problem_env.t -> string -> t

@@ -80,7 +80,7 @@ let store t = t.store
 (* Persisted: the dual history plus the store; the f4 table and bid
    scratch are rebuilt. *)
 
-let snapshot_tag = "omflp.snap.all-large.v2"
+let snapshot_tag = "omflp.snap.all-large.v3"
 
 let w_past b (p : past) =
   Snapshot_codec.w_int b p.site;
@@ -92,7 +92,7 @@ let r_past r =
   { site; dual }
 
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Snapshot_codec.w_list w_past b t.past;
       Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)

@@ -15,6 +15,10 @@ type t = {
   mutable n_services : int;
   mutable construction : float;
   mutable assignment : float;
+  (* Facilities and services at the last [mark]: a delta writes the
+     ones after them. *)
+  mutable mark_fac : int;
+  mutable mark_svc : int;
 }
 
 let create env ~n_commodities =
@@ -31,6 +35,8 @@ let create env ~n_commodities =
     n_services = 0;
     construction = 0.0;
     assignment = 0.0;
+    mark_fac = 0;
+    mark_svc = 0;
   }
 
 let env t = t.env
@@ -110,29 +116,37 @@ let total_cost t = t.construction +. t.assignment
 
 (* ---------- persistence ---------- *)
 
-(* Straight from the flat arrays: facilities in opening order, services
-   newest first. *)
-let write w t =
-  Snapshot_codec.w_int w t.n_commodities;
-  Snapshot_codec.w_int w t.count;
-  for i = 0 to t.count - 1 do
+(* Straight from the flat arrays, both in order: the facilities from
+   [fac] and the services from [svc] on, then the cost accumulators. *)
+let write_from w t ~fac ~svc =
+  Snapshot_codec.w_int w (t.count - fac);
+  for i = fac to t.count - 1 do
     Facility.write w t.fac.(i)
   done;
-  Snapshot_codec.w_int w t.n_services;
-  for i = t.n_services - 1 downto 0 do
+  Snapshot_codec.w_int w (t.n_services - svc);
+  for i = svc to t.n_services - 1 do
     Service.write w t.svc.(i)
   done;
   Snapshot_codec.w_float w t.construction;
   Snapshot_codec.w_float w t.assignment
 
-(* The mirror of [write]. Facilities are re-registered in opening order
-   as they are read, without re-summing costs: the nearest-index cells
-   are min-updates over metric rows, so replaying the same opening
+let write w t =
+  Snapshot_codec.w_int w t.n_commodities;
+  write_from w t ~fac:0 ~svc:0
+
+let write_new w t = write_from w t ~fac:t.mark_fac ~svc:t.mark_svc
+
+let mark t =
+  t.mark_fac <- t.count;
+  t.mark_svc <- t.n_services
+
+(* The mirror of [write_from]. Facilities are re-registered in opening
+   order as they are read, without re-summing costs: the nearest-index
+   cells are min-updates over metric rows, so replaying the same opening
    sequence rebuilds bit-identical tables, while the cost accumulators
    are restored to their serialized values (a fresh summation could
    round differently). *)
-let read env r =
-  let t = create env ~n_commodities:(Snapshot_codec.r_int r) in
+let read_new t r =
   ignore
     (Snapshot_codec.r_list
        (fun r ->
@@ -143,10 +157,11 @@ let read env r =
          Nearest_index.note_opened t.index t.metric ~site:f.Facility.site
            ~offered:f.Facility.offered ~id:f.Facility.id)
        r);
-  let svc = Snapshot_codec.r_array Service.read r in
-  for i = Array.length svc - 1 downto 0 do
-    push_svc t svc.(i)
-  done;
+  ignore (Snapshot_codec.r_list (fun r -> push_svc t (Service.read r)) r);
   t.construction <- Snapshot_codec.r_float r;
-  t.assignment <- Snapshot_codec.r_float r;
+  t.assignment <- Snapshot_codec.r_float r
+
+let read env r =
+  let t = create env ~n_commodities:(Snapshot_codec.r_int r) in
+  read_new t r;
   t

@@ -73,20 +73,36 @@ val total_cost : t -> float
     {!Nearest_index.note_opened}, which — being a deterministic fold of
     min-updates over metric rows — rebuilds them bit-identically, while
     the cost accumulators are restored to their serialized values
-    instead of being re-summed. *)
+    instead of being re-summed. A delta ({!write_new}) holds only the
+    facilities and services added since the store's mark, so its size
+    does not grow with the run. *)
 
-(** [write w t] serializes facilities (in opening order), services, and
-    cost accumulators with the snapshot codec v2 field writers, straight
-    from the store. *)
+(** [write w t] serializes the whole store — the commodity count, then
+    the facilities (in opening order), the services (in request order)
+    and the cost accumulators — with the snapshot codec's field writers,
+    straight from the store. It does not move the mark. *)
 val write : Omflp_prelude.Snapshot_codec.writer -> t -> unit
 
-(** [read env r] is the mirror of {!write}: it creates a store on [env],
-    replays each facility's opening as it reads it, puts the services
-    back in request order, and restores both cost accumulators
-    verbatim. Raises [Failure] on malformed bytes or when the facility
-    ids are not the sequential ids this store assigns. An algorithm's
-    [restore] checks the environment's family (its [create]) before
-    calling this, so a foreign-family blob is refused by name rather
-    than by a codec error. *)
+(** [write_new w t] writes what {!write} does after the commodity
+    count, but only the facilities and services added since the last
+    {!mark} (since creation when there was none). *)
+val write_new : Omflp_prelude.Snapshot_codec.writer -> t -> unit
+
+(** [mark t] makes the next {!write_new} start after the facilities and
+    services the store holds now. *)
+val mark : t -> unit
+
+(** [read env r] is the mirror of {!write}: it creates a store on [env]
+    and applies {!read_new}. Its mark is at the empty store. An
+    algorithm's [restore] checks the environment's family (its [create])
+    before calling this, so a foreign-family blob is refused by name
+    rather than by a codec error. *)
 val read :
   Omflp_instance.Problem_env.t -> Omflp_prelude.Snapshot_codec.reader -> t
+
+(** [read_new t r] is the mirror of {!write_new}: it replays each new
+    facility's opening as it reads it, appends the new services, and
+    restores both cost accumulators verbatim. Raises [Failure] on
+    malformed bytes or when the facility ids do not continue the store's
+    sequential ids. *)
+val read_new : t -> Omflp_prelude.Snapshot_codec.reader -> unit

@@ -98,10 +98,11 @@ let store t = t.store
 (* Persisted: GREEDY keeps no scratch beyond the store and the pure
    singleton table, so the blob is just the store. *)
 
-let snapshot_tag = "omflp.snap.greedy.v2"
+let snapshot_tag = "omflp.snap.greedy.v3"
 
 let snapshot t =
-  Omflp_prelude.Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Omflp_prelude.Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests
+    (fun b ->
       Facility_store.write b t.store;
       Omflp_prelude.Snapshot_codec.w_int b t.n_requests)
 

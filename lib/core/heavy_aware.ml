@@ -167,14 +167,14 @@ let step t (r : Request.t) =
 let run_so_far t = Run.of_store ~algorithm:name t.store
 let store t = t.store
 
-(* Persisted: the heavy set (it may have been overridden via
-   [create_with_heavy], so detection is not re-run), the inner PD run as
-   a nested blob, and the outer bookkeeping. The light projection is a
-   pure function of (cost, heavy) and is rebuilt. The fid map is
-   serialized sorted by inner id so the blob does not depend on hashtable
-   iteration order. *)
+(* Persisted, always as a base segment: the heavy set (it may have been
+   overridden via [create_with_heavy], so detection is not re-run), the
+   inner PD run's whole state, and the outer bookkeeping. The light
+   projection is a pure function of (cost, heavy) and is rebuilt. The fid
+   map is serialized sorted by inner id so the blob does not depend on
+   hashtable iteration order. *)
 
-let snapshot_tag = "omflp.snap.heavy-aware.v2"
+let snapshot_tag = "omflp.snap.heavy-aware.v3"
 
 let w_heavy_past b (p : heavy_past) =
   Snapshot_codec.w_int b p.site;
@@ -186,9 +186,9 @@ let r_heavy_past r =
   { site; dual }
 
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Cset.write b t.heavy;
-      Snapshot_codec.w_string b (Pd_omflp.snapshot t.inner);
+      Pd_omflp.write b t.inner;
       Facility_store.write b t.store;
       let fid_pairs =
         List.sort compare
@@ -205,11 +205,18 @@ let snapshot t =
       Snapshot_codec.w_int b t.n_requests)
 
 let restore env blob =
+  (* A retired v2 blob nests a v2 PD blob: name its recomputing mode. *)
+  (match Snapshot_codec.legacy_v2 ~tag:"omflp.snap.heavy-aware.v2" blob with
+  | Some r ->
+      ignore (Cset.read r);
+      Pd_omflp.refuse_retired (Snapshot_codec.r_string r)
+  | None -> ());
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let z_heavy = Cset.read r in
-      let z_inner = Snapshot_codec.r_string r in
       let t = create_with_heavy ~heavy:z_heavy env in
+      let light_cost, _ = Cost_function.project t.cost ~keep:t.light in
+      let inner = Pd_omflp.read (Problem_env.omflp t.metric light_cost) r in
       let store = Facility_store.read env r in
       let z_fid_map =
         Snapshot_codec.r_list
@@ -224,14 +231,13 @@ let restore env blob =
         Snapshot_codec.r_array (Snapshot_codec.r_list r_heavy_past) r
       in
       let z_n_requests = Snapshot_codec.r_int r in
-      let light_cost, _ = Cost_function.project t.cost ~keep:t.light in
       List.iter (fun (k, v) -> Hashtbl.replace t.fid_map k v) z_fid_map;
       if Array.length z_heavy_past <> Array.length t.heavy_past then
         failwith "Heavy_aware.restore: commodity count mismatch";
       Array.blit z_heavy_past 0 t.heavy_past 0 (Array.length t.heavy_past);
       {
         t with
-        inner = Pd_omflp.restore (Problem_env.omflp t.metric light_cost) z_inner;
+        inner;
         store;
         inner_mirrored = z_inner_mirrored;
         n_requests = z_n_requests;

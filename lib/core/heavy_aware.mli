@@ -29,9 +29,12 @@ val step : t -> Omflp_instance.Request.t -> Service.t
 val run_so_far : t -> Run.t
 val store : t -> Facility_store.t
 
-(** See {!Algo_intf.ALGO}: byte-identical continuation. The blob records
-    the heavy set itself, so runs started with {!create_with_heavy}
-    restore faithfully without re-running detection. *)
+(** See {!Algo_intf.ALGO}: byte-identical continuation. Every segment is
+    a base holding the inner PD-OMFLP run's whole state
+    ({!Pd_omflp.write}, which leaves the inner run's delta mark alone).
+    The blob records the heavy set itself, so runs started with
+    {!create_with_heavy} restore faithfully without re-running
+    detection. *)
 val snapshot : t -> string
 
 val restore : Omflp_instance.Problem_env.t -> string -> t

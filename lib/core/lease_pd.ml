@@ -154,7 +154,7 @@ let store t = t.store
 
 (* Persisted: the windowed dual history, the store, and the clock. *)
 
-let snapshot_tag = "omflp.snap.lease-pd.v2"
+let snapshot_tag = "omflp.snap.lease-pd.v3"
 
 let w_past b (p : past) =
   Snapshot_codec.w_int b p.site;
@@ -168,7 +168,7 @@ let r_past r =
   { site; dual; time }
 
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Snapshot_codec.w_array (Snapshot_codec.w_list w_past) b t.past;
       Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)

@@ -182,10 +182,10 @@ let store t = t.store
 (* Persisted: the fractional matrix, the store, and the clock. The
    [opened] flags are a pure function of the store and are rebuilt. *)
 
-let snapshot_tag = "omflp.snap.nonmetric-bf.v2"
+let snapshot_tag = "omflp.snap.nonmetric-bf.v3"
 
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Snapshot_codec.w_array Snapshot_codec.w_float_array b t.x;
       Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)

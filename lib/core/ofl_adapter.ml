@@ -116,18 +116,18 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
 
   (* Persisted: the creation seed (so commodities first requested after a
      restore derive the same per-commodity streams), the shared store, and
-     each live slot as (inner OFL blob, mirrored prefix length). Slot
+     each live slot as (inner OFL state, mirrored prefix length). Slot
      opening-cost tables are pure and rebuilt. *)
 
-  let snapshot_tag = "omflp.snap.ofl-adapter." ^ S.name ^ ".v2"
+  let snapshot_tag = "omflp.snap.ofl-adapter." ^ S.name ^ ".v3"
 
   let snapshot t =
-    Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+    Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
         Snapshot_codec.w_opt Snapshot_codec.w_int b t.seed;
         Facility_store.write b t.store;
         Snapshot_codec.w_array
           (Snapshot_codec.w_opt (fun b s ->
-               Snapshot_codec.w_string b (S.A.save_state s.ofl);
+               S.A.write_state b s.ofl;
                Snapshot_codec.w_int b s.mirrored))
           b t.slots;
         Snapshot_codec.w_int b t.n_requests)
@@ -138,34 +138,27 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
         let z_seed = Snapshot_codec.r_opt Snapshot_codec.r_int r in
         let t = create ?seed:z_seed env in
         let store = Facility_store.read env r in
-        let z_slots =
-          Snapshot_codec.r_array
-            (Snapshot_codec.r_opt (fun r ->
-                 let blob = Snapshot_codec.r_string r in
-                 let mirrored = Snapshot_codec.r_int r in
-                 (blob, mirrored)))
-            r
-        in
-        let z_n_requests = Snapshot_codec.r_int r in
-        if Array.length z_slots <> Array.length t.slots then
+        let n_slots = Snapshot_codec.r_int r in
+        if n_slots <> Array.length t.slots then
           failwith
             (Printf.sprintf
                "%s.restore: snapshot has %d commodities, cost function has %d"
-               S.name (Array.length z_slots) (Array.length t.slots));
+               S.name n_slots (Array.length t.slots));
         Array.iteri
-          (fun e zs ->
-            match zs with
-            | None -> ()
-            | Some (ofl_blob, mirrored) ->
-                let costs =
-                  Array.init (Finite_metric.size t.metric) (fun m ->
-                      Cost_function.singleton_cost t.cost m e)
-                in
-                let ofl =
-                  S.A.restore_state t.metric ~opening_costs:costs ofl_blob
-                in
-                t.slots.(e) <- Some { ofl; costs; mirrored })
-          z_slots;
+          (fun e _ ->
+            t.slots.(e) <-
+              Snapshot_codec.r_opt
+                (fun r ->
+                  let costs =
+                    Array.init (Finite_metric.size t.metric) (fun m ->
+                        Cost_function.singleton_cost t.cost m e)
+                  in
+                  let ofl = S.A.read_state t.metric ~opening_costs:costs r in
+                  let mirrored = Snapshot_codec.r_int r in
+                  { ofl; costs; mirrored })
+                r)
+          t.slots;
+        let z_n_requests = Snapshot_codec.r_int r in
         { t with store; n_requests = z_n_requests })
       blob
 end

@@ -98,6 +98,17 @@ type t = {
   scratch_serving_id : int array; (* facility id (1) or temp site (2) *)
   scratch_unserved : int array;
   scratch_fb : float array;
+  (* Snapshot deltas. [stream] decides whether the next segment is a base
+     or a delta; [mark] is [n_past] at the last segment; the rows below
+     it whose bid caps [note_facility_opened] lowered since then are
+     [lowered.(0 .. n_lowered-1)], each listed once ([p_lowered] flags
+     them). Both arrays grow with the history, so recording a lowered
+     cap allocates nothing. *)
+  stream : Snapshot_codec.stream;
+  mutable mark : int;
+  mutable p_lowered : Bytes.t;
+  mutable lowered : int array;
+  mutable n_lowered : int;
 }
 
 let name = "PD-OMFLP"
@@ -131,20 +142,26 @@ let create ?seed:_ env =
     scratch_serving_id = Array.make n_commodities (-1);
     scratch_unserved = Array.make n_commodities 0;
     scratch_fb = Array.make 3 0.0;
+    stream = Snapshot_codec.stream ();
+    mark = 0;
+    p_lowered = Bytes.empty;
+    lowered = [||];
+    n_lowered = 0;
   }
 
-let ensure_past_capacity t =
+(* Room for [need] history rows. *)
+let reserve t need =
   let cap = Array.length t.p_site in
-  if t.n_past = cap then begin
+  if need > cap then begin
     (* Start small: the first growth zeroes [ncap * s] floats for the
        dual and cap rows, which dominates whole short runs when the
        commodity set is large (the theorem-2 adversary pairs |S|=1024
        with 32 requests). Doubling from 8 keeps that first touch
        proportional to what a short run actually uses. *)
-    let ncap = max 8 (2 * cap) in
-    let grow_int a =
+    let ncap = max need (max 8 (2 * cap)) in
+    let grow_int a len =
       let a' = Array.make ncap 0 in
-      Array.blit a 0 a' 0 cap;
+      Array.blit a 0 a' 0 len;
       a'
     in
     let grow_float a len len' =
@@ -152,14 +169,27 @@ let ensure_past_capacity t =
       Array.blit a 0 a' 0 len;
       a'
     in
-    t.p_site <- grow_int t.p_site;
+    t.p_site <- grow_int t.p_site cap;
     let dem = Array.make ncap (Cset.empty ~n_commodities:t.s) in
     Array.blit t.p_demand 0 dem 0 cap;
     t.p_demand <- dem;
     t.p_dual_sum <- grow_float t.p_dual_sum cap ncap;
     t.p_cap4 <- grow_float t.p_cap4 cap ncap;
     t.p_duals <- grow_float t.p_duals (cap * t.s) (ncap * t.s);
-    t.p_caps <- grow_float t.p_caps (cap * t.s) (ncap * t.s)
+    t.p_caps <- grow_float t.p_caps (cap * t.s) (ncap * t.s);
+    let flags = Bytes.make ncap '\000' in
+    Bytes.blit t.p_lowered 0 flags 0 cap;
+    t.p_lowered <- flags;
+    t.lowered <- grow_int t.lowered t.n_lowered
+  end
+
+(* Row [j]'s caps were lowered: a delta must carry them, unless row [j]
+   is new since the mark and goes out whole anyway. *)
+let note_lowered t j =
+  if j < t.mark && Bytes.unsafe_get t.p_lowered j = '\000' then begin
+    Bytes.unsafe_set t.p_lowered j '\001';
+    t.lowered.(t.n_lowered) <- j;
+    t.n_lowered <- t.n_lowered + 1
   end
 
 (* Cache maintenance: a newly opened facility at [fs] can only shrink
@@ -195,7 +225,8 @@ let note_facility_opened t (fac : Facility.t) =
           b3.(bb + m) <- b3.(bb + m) +. pos (d_jf -. d) -. pos (old_cap -. d)
         done;
         Metrics.add m_cache_updates n_sites;
-        t.p_caps.(cbase + e) <- d_jf
+        t.p_caps.(cbase + e) <- d_jf;
+        note_lowered t j
       end
     done;
     if offers_all && d_jf < t.p_cap4.(j) then begin
@@ -205,7 +236,8 @@ let note_facility_opened t (fac : Facility.t) =
         b4.(m) <- b4.(m) +. pos (d_jf -. d) -. pos (old_cap -. d)
       done;
       Metrics.add m_cache_updates n_sites;
-      t.p_cap4.(j) <- d_jf
+      t.p_cap4.(j) <- d_jf;
+      note_lowered t j
     end
   done
 
@@ -237,7 +269,7 @@ let open_facility t ~site ~kind =
 let step t (r : Request.t) =
   let n_sites = t.n_sites in
   let s = t.s in
-  ensure_past_capacity t;
+  reserve t (t.n_past + 1);
   let es = t.scratch_es in
   let k_total =
     let k = ref 0 in
@@ -511,18 +543,22 @@ let store t = t.store
 
 (* ---------- snapshot / restore ---------- *)
 
-(* Persisted state: a mode byte, the request history with its frozen
-   duals and bid caps, the store, the event trace, and the maintained bid
-   caches, serialized verbatim. The caches are NOT rebuilt from the
-   history on restore: they were produced by a particular interleaving
-   of additions and cap adjustments whose float rounding a fresh
-   summation would not reproduce, and byte-identical continuation
-   requires their exact values. The mode byte is always [true]; [false]
-   marks a blob of the retired recomputing mode, which carries no caches
-   and is refused. Scratch buffers and the pure cost tables (f3/f4) are
-   rebuilt by [create]. *)
+(* A segment's payload: the store (whole in a base, only its new
+   facilities and services in a delta), the history rows from the mark
+   on with their frozen duals and current bid caps, their trace entries,
+   the maintained bid caches, and the rows below the mark whose caps
+   [note_facility_opened] lowered since the previous segment. A base is
+   the same payload with the mark at row 0: the delta against the empty
+   state. Neither the caches nor the lowered caps are recomputed on
+   restore. The caches were produced by a particular interleaving of
+   additions and cap adjustments whose float rounding a fresh summation
+   would not reproduce; a lowered cap recomputed as min(dual, distance to
+   the nearest facility) can differ from the stored one in the last bit
+   (seen once in 600 fuzzed runs). Byte-identical continuation needs the
+   exact values, so both travel verbatim. Scratch buffers and the pure
+   cost tables (f3/f4) are rebuilt by [create]. *)
 
-let snapshot_tag = "omflp.snap.pd-omflp.v2"
+let snapshot_tag = "omflp.snap.pd-omflp.v3"
 
 let w_fired b = function
   | Connected_small { commodity; facility; dual } ->
@@ -566,87 +602,135 @@ let r_fired r =
       Opened_large { site; dual_sum }
   | k -> Printf.ksprintf failwith "Snapshot_codec: bad fired tag %d" k
 
+(* Rows [from, n_past), their trace entries (the newest [k] of
+   [trace_rev], newest first), and the caches. *)
+let write_rows b t ~from =
+  let k = t.n_past - from in
+  Snapshot_codec.w_int b k;
+  for j = from to t.n_past - 1 do
+    Snapshot_codec.w_int b t.p_site.(j)
+  done;
+  for j = from to t.n_past - 1 do
+    Cset.write b t.p_demand.(j)
+  done;
+  Snapshot_codec.w_float_sub b t.p_dual_sum from k;
+  Snapshot_codec.w_float_sub b t.p_cap4 from k;
+  Snapshot_codec.w_float_sub b t.p_duals (from * t.s) (k * t.s);
+  Snapshot_codec.w_float_sub b t.p_caps (from * t.s) (k * t.s);
+  Snapshot_codec.w_int b k;
+  let rec trace fired_rev i =
+    match fired_rev with
+    | fired :: older when i > 0 ->
+        Snapshot_codec.w_list w_fired b fired;
+        trace older (i - 1)
+    | _ -> ()
+  in
+  trace t.trace_rev k;
+  Snapshot_codec.w_float_array b t.b3_cache;
+  Snapshot_codec.w_float_array b t.b4_cache
+
+let write b t =
+  Facility_store.write b t.store;
+  write_rows b t ~from:0;
+  Snapshot_codec.w_int b 0 (* no row lies below row 0 *)
+
+let write_delta b t =
+  Facility_store.write_new b t.store;
+  write_rows b t ~from:t.mark;
+  Snapshot_codec.w_int b t.n_lowered;
+  for i = 0 to t.n_lowered - 1 do
+    let j = t.lowered.(i) in
+    Snapshot_codec.w_int b j;
+    Snapshot_codec.w_float b t.p_cap4.(j);
+    Snapshot_codec.w_float_sub b t.p_caps (j * t.s) t.s
+  done
+
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
-      Snapshot_codec.w_bool b true;
-      Facility_store.write b t.store;
-      let n = t.n_past in
-      Snapshot_codec.w_int b n;
-      for j = 0 to n - 1 do
-        Snapshot_codec.w_int b t.p_site.(j)
-      done;
-      for j = 0 to n - 1 do
-        Cset.write b t.p_demand.(j)
-      done;
-      Snapshot_codec.w_float_sub b t.p_dual_sum 0 n;
-      Snapshot_codec.w_float_sub b t.p_cap4 0 n;
-      Snapshot_codec.w_float_sub b t.p_duals 0 (n * t.s);
-      Snapshot_codec.w_float_sub b t.p_caps 0 (n * t.s);
-      Snapshot_codec.w_list (Snapshot_codec.w_list w_fired) b t.trace_rev;
-      Snapshot_codec.w_int b t.n_requests;
-      Snapshot_codec.w_float_array b t.b3_cache;
-      Snapshot_codec.w_float_array b t.b4_cache)
+  let seg =
+    Snapshot_codec.next t.stream ~tag:snapshot_tag ~count:t.n_requests
+      (fun kind b ->
+        match kind with
+        | Snapshot_codec.Base -> write b t
+        | Snapshot_codec.Delta -> write_delta b t)
+  in
+  Facility_store.mark t.store;
+  t.mark <- t.n_past;
+  for i = 0 to t.n_lowered - 1 do
+    Bytes.set t.p_lowered t.lowered.(i) '\000'
+  done;
+  t.n_lowered <- 0;
+  seg
+
+(* The mirror of [write_rows] and the lowered caps: appends the rows
+   after the ones [t] holds. *)
+let read_rows t r =
+  let from = t.n_past in
+  let floats dst off len =
+    let a = Snapshot_codec.r_float_array r in
+    if Array.length a <> len then
+      failwith "Pd_omflp.restore: inconsistent history arrays";
+    Array.blit a 0 dst off len
+  in
+  let sites = Snapshot_codec.r_int_array r in
+  let k = Array.length sites in
+  reserve t (from + k);
+  Array.iteri
+    (fun i p ->
+      if p < 0 || p >= t.n_sites then
+        failwith "Pd_omflp.restore: history site out of range";
+      t.p_site.(from + i) <- p)
+    sites;
+  for j = from to from + k - 1 do
+    let d = Cset.read r in
+    if Cset.n_commodities d <> t.s then
+      failwith "Pd_omflp.restore: demand universe mismatch";
+    t.p_demand.(j) <- d
+  done;
+  floats t.p_dual_sum from k;
+  floats t.p_cap4 from k;
+  floats t.p_duals (from * t.s) (k * t.s);
+  floats t.p_caps (from * t.s) (k * t.s);
+  let fired = Snapshot_codec.r_list (Snapshot_codec.r_list r_fired) r in
+  if List.length fired <> k then
+    failwith "Pd_omflp.restore: trace does not match the history";
+  t.trace_rev <- fired @ t.trace_rev;
+  t.n_past <- from + k;
+  t.n_requests <- t.n_past;
+  floats t.b3_cache 0 (Array.length t.b3_cache);
+  floats t.b4_cache 0 (Array.length t.b4_cache);
+  ignore
+    (Snapshot_codec.r_list
+       (fun r ->
+         let j = Snapshot_codec.r_int r in
+         if j < 0 || j >= from then
+           failwith "Pd_omflp.restore: lowered cap of a row not yet restored";
+         t.p_cap4.(j) <- Snapshot_codec.r_float r;
+         floats t.p_caps (j * t.s) t.s)
+       r)
+
+let read env r =
+  let t = create env in
+  let t = { t with store = Facility_store.read env r } in
+  read_rows t r;
+  t
+
+let read_delta t r =
+  Facility_store.read_new t.store r;
+  read_rows t r
+
+(* Blobs of the v2 format are refused by the codec; one of the recomputing
+   mode (v2 mode byte [false], no bid caches) is named as such. *)
+let refuse_retired blob =
+  match Snapshot_codec.legacy_v2 ~tag:"omflp.snap.pd-omflp.v2" blob with
+  | Some r when not (Snapshot_codec.r_bool r) ->
+      failwith
+        "Pd_omflp.restore: snapshot is from the retired recomputing mode (no \
+         bid caches)"
+  | _ -> ()
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
-    (fun r ->
-      if not (Snapshot_codec.r_bool r) then
-        failwith
-          "Pd_omflp.restore: snapshot is from the retired recomputing mode \
-           (no bid caches)";
-      let t = create env in
-      let store = Facility_store.read env r in
-      let n = Snapshot_codec.r_int r in
-      if n < 0 then failwith "Pd_omflp.restore: negative history length";
-      let sites = Array.make (max n 1) 0 in
-      for j = 0 to n - 1 do
-        let p = Snapshot_codec.r_int r in
-        if p < 0 || p >= t.n_sites then
-          failwith "Pd_omflp.restore: history site out of range";
-        sites.(j) <- p
-      done;
-      let demands = Array.make (max n 1) (Cset.empty ~n_commodities:t.s) in
-      for j = 0 to n - 1 do
-        let d = Cset.read r in
-        if Cset.n_commodities d <> t.s then
-          failwith "Pd_omflp.restore: demand universe mismatch";
-        demands.(j) <- d
-      done;
-      let dual_sum = Snapshot_codec.r_float_array r in
-      let cap4 = Snapshot_codec.r_float_array r in
-      let duals = Snapshot_codec.r_float_array r in
-      let caps = Snapshot_codec.r_float_array r in
-      if
-        Array.length dual_sum <> n
-        || Array.length cap4 <> n
-        || Array.length duals <> n * t.s
-        || Array.length caps <> n * t.s
-      then failwith "Pd_omflp.restore: inconsistent history arrays";
-      let trace_rev = Snapshot_codec.r_list (Snapshot_codec.r_list r_fired) r in
-      let n_requests = Snapshot_codec.r_int r in
-      let b3 = Snapshot_codec.r_float_array r in
-      let b4 = Snapshot_codec.r_float_array r in
-      if
-        Array.length b3 <> Array.length t.b3_cache
-        || Array.length b4 <> Array.length t.b4_cache
-      then failwith "Pd_omflp.restore: bid cache size mismatch";
-      Array.blit b3 0 t.b3_cache 0 (Array.length b3);
-      Array.blit b4 0 t.b4_cache 0 (Array.length b4);
-      (* Capacity is trimmed to the history (padded to 1 slot so the
-         scalar and flat arrays stay in the cap/cap*s relationship);
-         the next step grows it. *)
-      t.n_past <- n;
-      t.p_site <- sites;
-      t.p_demand <- demands;
-      t.p_dual_sum <-
-        (if n = 0 then Array.make 1 0.0 else dual_sum);
-      t.p_cap4 <- (if n = 0 then Array.make 1 0.0 else cap4);
-      t.p_duals <- (if n = 0 then Array.make t.s 0.0 else duals);
-      t.p_caps <- (if n = 0 then Array.make t.s 0.0 else caps);
-      t.trace_rev <- trace_rev;
-      t.n_requests <- n_requests;
-      { t with store })
-    blob
+  refuse_retired blob;
+  Snapshot_codec.decode ~tag:snapshot_tag ~delta:read_delta (read env) blob
 
 let cache_drift t =
   let n_sites = t.n_sites in

@@ -33,14 +33,33 @@ val run_so_far : t -> Run.t
 
 (** {1 Snapshot / restore}
 
-    See {!Algo_intf.ALGO}: byte-identical continuation. The blob carries
-    the maintained bid caches verbatim. [restore] raises [Failure] on a
-    blob of the retired recomputing mode (mode byte [false], no caches),
-    which cannot continue byte-identically. *)
+    See {!Algo_intf.ALGO}: byte-identical continuation, one segment per
+    [snapshot]. A delta segment holds the store's new facilities and
+    services, the new history rows and trace entries, the fixed-size bid
+    caches, and the past rows whose bid caps a facility opening lowered
+    since the previous segment (recorded as they change, never
+    recomputed), so its size does not grow with the run. [restore]
+    raises [Failure] on a blob of the retired v2 format, naming the
+    retired recomputing mode (v2 mode byte [false], no caches) when the
+    blob is one of it. *)
 
 val snapshot : t -> string
 
 val restore : Omflp_instance.Problem_env.t -> string -> t
+
+(** [write w t] writes [t]'s whole state into the payload of a segment
+    being encoded, and [read env r] reads it back; for algorithms that
+    embed a PD-OMFLP run (HEAVY-AWARE). [write] does not move the mark
+    [snapshot]'s next delta starts from. *)
+val write : Omflp_prelude.Snapshot_codec.writer -> t -> unit
+
+val read :
+  Omflp_instance.Problem_env.t -> Omflp_prelude.Snapshot_codec.reader -> t
+
+(** [refuse_retired blob] raises [restore]'s [Failure] when [blob] is a
+    PD-OMFLP blob of the retired recomputing mode, and returns
+    otherwise. *)
+val refuse_retired : string -> unit
 
 (** {1 Introspection (analysis and tests)} *)
 

@@ -223,10 +223,10 @@ let store t = t.store
    cost classes are a pure function of the cost function and are rebuilt
    by [create]. *)
 
-let snapshot_tag = "omflp.snap.rand-omflp.v2"
+let snapshot_tag = "omflp.snap.rand-omflp.v3"
 
 let snapshot t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
+  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Snapshot_codec.w_i64 b (Splitmix.state t.rng);
       Facility_store.write b t.store;
       Snapshot_codec.w_int b t.n_requests)

@@ -105,11 +105,10 @@ let snapshot t =
 let duals t = List.rev_map (fun p -> p.dual) t.past
 
 (* Persisted state: the frozen duals, the opening history, the distance
-   table, and the cost accumulators — all pure data. *)
+   table, and the cost accumulators — all pure data, written inside the
+   enclosing algorithm's snapshot segment. *)
 
 module Sc = Omflp_prelude.Snapshot_codec
-
-let snapshot_tag = "omflp.snap.fotakis.v2"
 
 let w_past b (p : past) =
   Sc.w_int b p.site;
@@ -120,31 +119,27 @@ let r_past r =
   let dual = Sc.r_float r in
   { site; dual }
 
-let save_state t =
-  Sc.encode ~tag:snapshot_tag (fun b ->
-      Sc.w_list w_past b t.past;
-      Sc.w_list Sc.w_int b t.facility_sites;
-      Sc.w_float_array b t.dist_to_f;
-      Sc.w_float b t.construction;
-      Sc.w_float b t.assignment)
+let write_state b t =
+  Sc.w_list w_past b t.past;
+  Sc.w_list Sc.w_int b t.facility_sites;
+  Sc.w_float_array b t.dist_to_f;
+  Sc.w_float b t.construction;
+  Sc.w_float b t.assignment
 
-let restore_state metric ~opening_costs blob =
-  Sc.decode ~tag:snapshot_tag
-    (fun r ->
-      let z_past = Sc.r_list r_past r in
-      let z_facility_sites = Sc.r_list Sc.r_int r in
-      let z_dist_to_f = Sc.r_float_array r in
-      let z_construction = Sc.r_float r in
-      let z_assignment = Sc.r_float r in
-      if Array.length z_dist_to_f <> Finite_metric.size metric then
-        failwith "Fotakis_pd.restore_state: snapshot from a different metric";
-      let t = create metric ~opening_costs in
-      {
-        t with
-        past = z_past;
-        facility_sites = z_facility_sites;
-        dist_to_f = z_dist_to_f;
-        construction = z_construction;
-        assignment = z_assignment;
-      })
-    blob
+let read_state metric ~opening_costs r =
+  let z_past = Sc.r_list r_past r in
+  let z_facility_sites = Sc.r_list Sc.r_int r in
+  let z_dist_to_f = Sc.r_float_array r in
+  let z_construction = Sc.r_float r in
+  let z_assignment = Sc.r_float r in
+  if Array.length z_dist_to_f <> Finite_metric.size metric then
+    failwith "Fotakis_pd.read_state: state from a different metric";
+  let t = create metric ~opening_costs in
+  {
+    t with
+    past = z_past;
+    facility_sites = z_facility_sites;
+    dist_to_f = z_dist_to_f;
+    construction = z_construction;
+    assignment = z_assignment;
+  }

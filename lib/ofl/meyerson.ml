@@ -154,37 +154,30 @@ let snapshot t =
 
 (* Persisted state: everything [step] reads that is not a pure function
    of (metric, opening_costs) — the RNG position, the opening history,
-   the incremental distance table, and the cost accumulators. [classes]
-   is rebuilt deterministically from the opening costs. *)
+   the incremental distance table, and the cost accumulators — written
+   inside the enclosing algorithm's snapshot segment. [classes] is
+   rebuilt deterministically from the opening costs. *)
 
-let snapshot_tag = "omflp.snap.meyerson.v2"
+let write_state b t =
+  Snapshot_codec.w_i64 b (Splitmix.state t.rng);
+  Snapshot_codec.w_list Snapshot_codec.w_int b t.facility_sites;
+  Snapshot_codec.w_float_array b t.dist_to_f;
+  Snapshot_codec.w_float b t.construction;
+  Snapshot_codec.w_float b t.assignment
 
-let save_state t =
-  Snapshot_codec.encode ~tag:snapshot_tag (fun b ->
-      Snapshot_codec.w_i64 b (Splitmix.state t.rng);
-      Snapshot_codec.w_list Snapshot_codec.w_int b t.facility_sites;
-      Snapshot_codec.w_float_array b t.dist_to_f;
-      Snapshot_codec.w_float b t.construction;
-      Snapshot_codec.w_float b t.assignment)
-
-let restore_state metric ~opening_costs blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
-    (fun r ->
-      let z_rng = Snapshot_codec.r_i64 r in
-      let z_facility_sites = Snapshot_codec.r_list Snapshot_codec.r_int r in
-      let z_dist_to_f = Snapshot_codec.r_float_array r in
-      let z_construction = Snapshot_codec.r_float r in
-      let z_assignment = Snapshot_codec.r_float r in
-      if Array.length z_dist_to_f <> Finite_metric.size metric then
-        failwith "Meyerson.restore_state: snapshot from a different metric";
-      let t =
-        create_seeded metric ~opening_costs ~rng:(Splitmix.create z_rng)
-      in
-      {
-        t with
-        dist_to_f = z_dist_to_f;
-        facility_sites = z_facility_sites;
-        construction = z_construction;
-        assignment = z_assignment;
-      })
-    blob
+let read_state metric ~opening_costs r =
+  let z_rng = Snapshot_codec.r_i64 r in
+  let z_facility_sites = Snapshot_codec.r_list Snapshot_codec.r_int r in
+  let z_dist_to_f = Snapshot_codec.r_float_array r in
+  let z_construction = Snapshot_codec.r_float r in
+  let z_assignment = Snapshot_codec.r_float r in
+  if Array.length z_dist_to_f <> Finite_metric.size metric then
+    failwith "Meyerson.read_state: state from a different metric";
+  let t = create_seeded metric ~opening_costs ~rng:(Splitmix.create z_rng) in
+  {
+    t with
+    dist_to_f = z_dist_to_f;
+    facility_sites = z_facility_sites;
+    construction = z_construction;
+    assignment = z_assignment;
+  }

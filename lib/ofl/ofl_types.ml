@@ -12,7 +12,11 @@ module type ALGORITHM = sig
   val create : Omflp_metric.Finite_metric.t -> opening_costs:float array -> t
   val step : t -> int -> float
   val snapshot : t -> run
-  val save_state : t -> string
-  val restore_state :
-    Omflp_metric.Finite_metric.t -> opening_costs:float array -> string -> t
+  val write_state : Omflp_prelude.Snapshot_codec.writer -> t -> unit
+
+  val read_state :
+    Omflp_metric.Finite_metric.t ->
+    opening_costs:float array ->
+    Omflp_prelude.Snapshot_codec.reader ->
+    t
 end

@@ -26,14 +26,18 @@ module type ALGORITHM = sig
 
   val snapshot : t -> run
 
-  (** [save_state t] serializes the algorithm's complete mutable state
-      (including any RNG position) as an opaque blob; [restore_state]
-      revives it against the same metric and opening costs, such that the
-      revived run takes byte-identical decisions on every future request.
-      [restore_state] raises [Failure] on a blob from another algorithm
-      or format version. *)
-  val save_state : t -> string
+  (** [write_state w t] writes the algorithm's complete mutable state
+      (including any RNG position) into the payload of the snapshot
+      segment being encoded; [read_state] reads it back against the same
+      metric and opening costs, such that the revived run takes
+      byte-identical decisions on every future request. The enclosing
+      segment's tag names the algorithm; [read_state] raises [Failure]
+      on malformed bytes or a state from another metric. *)
+  val write_state : Omflp_prelude.Snapshot_codec.writer -> t -> unit
 
-  val restore_state :
-    Omflp_metric.Finite_metric.t -> opening_costs:float array -> string -> t
+  val read_state :
+    Omflp_metric.Finite_metric.t ->
+    opening_costs:float array ->
+    Omflp_prelude.Snapshot_codec.reader ->
+    t
 end

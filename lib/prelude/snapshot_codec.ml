@@ -1,26 +1,39 @@
-(* Versioned fixed-layout binary envelope for algorithm state blobs.
+(* Versioned fixed-layout segments for algorithm state, and the chains
+   they form.
 
-   Wire format (codec v2):
+   Wire format (codec v3), one segment:
 
-     "omflp.snap2" '\n' tag '\n' payload md5
+     "omflp.snap3" '\n' tag '\n' kind from count len ~len payload md5
 
-   where [payload] is written by explicit field serializers (the writer
-   combinators below; every variable-length value is length-prefixed) and
-   [md5] is the 16-byte MD5 of everything before it. Unlike the v1
-   Marshal envelope this layout is stable across compiler versions,
-   carries its own integrity check, and never interprets attacker-
-   controlled bytes as heap structure: every read is bounds-checked and
-   every length is validated against the bytes that remain, so a
-   truncated or corrupted blob raises a named [Failure] instead of
-   crashing.
+   [kind] is one byte (0 base, 1 delta); [from] and [count] are the
+   request counts the segment starts from and covers (a base starts from
+   0); [len] is the payload's length and [~len] its bitwise complement,
+   so a damaged length is told apart from a segment cut short; [md5] is
+   the 16-byte MD5 of everything before it. A chain is segments back to
+   back: a base holds a whole state, and each delta what changed since
+   the segment before it, so a delta's [from] is the previous segment's
+   [count].
+
+   The payload is written by explicit field serializers (the writer
+   combinators below; every variable-length value is length-prefixed).
+   The layout is stable across compiler versions and never interprets
+   attacker-controlled bytes as heap structure: every read is
+   bounds-checked and every length is validated against the bytes that
+   remain, so a truncated or corrupted chain raises a named [Failure]
+   instead of crashing.
 
    Integers travel as 64-bit little-endian; floats as the little-endian
    IEEE-754 bits ([Int64.bits_of_float]), which round-trips them
    bit-exactly — the property the byte-identical resume contract rests
    on. *)
 
-let magic = "omflp.snap2"
+let magic = "omflp.snap3\n"
+let v2_magic = "omflp.snap2\n"
 let digest_len = 16
+let max_tag = 255
+
+(* kind (1) + from, count, len, ~len (8 each) *)
+let fixed_len = 33
 
 let fail fmt = Printf.ksprintf failwith fmt
 
@@ -29,7 +42,7 @@ let fail fmt = Printf.ksprintf failwith fmt
 (* The payload accumulates in chunks that are filled once and never
    regrown or copied: a small first one, so a tiny snapshot allocates
    little beyond its result, then fixed [chunk_size] ones. A snapshot
-   therefore costs its chunks plus the one exact-size copy [encode]
+   therefore costs its chunks plus the one exact-size copy [segment]
    returns. A fixed-width field never straddles two chunks — a chunk
    with too little room left is closed early and remembers its fill —
    while raw string bytes spill over into as many chunks as they
@@ -235,18 +248,28 @@ let r_int_array r =
   done;
   a
 
-(* ---------- envelope ---------- *)
+(* ---------- segments ---------- *)
 
-let encode ~tag emit =
-  if String.contains tag '\n' then
-    invalid_arg "Snapshot_codec.encode: tag contains a newline";
+type kind = Base | Delta
+
+let segment ~tag ~kind ~from ~count emit =
+  if String.length tag > max_tag || String.contains tag '\n' then
+    invalid_arg "Snapshot_codec: a tag is at most 255 bytes, with no newline";
   let w =
     { chunk = Bytes.create first_chunk; pos = 0; closed = []; closed_len = 0 }
   in
   w_raw w magic;
-  w_u8 w (Char.code '\n');
   w_raw w tag;
   w_u8 w (Char.code '\n');
+  w_u8 w (match kind with Base -> 0 | Delta -> 1);
+  w_int w from;
+  w_int w count;
+  (* The header fits the first chunk, so these offsets are also the
+     result's; the length and its complement are filled in below. *)
+  let len_at = w.pos in
+  w_int w 0;
+  w_int w 0;
+  let payload_at = w.pos in
   emit w;
   (* The result is the only copy: the chunks are blitted into it at their
      offsets (newest chunk last) and the digest lands behind them. *)
@@ -259,22 +282,220 @@ let encode ~tag emit =
          Bytes.blit c 0 out (stop - n) n;
          stop - n)
        w.closed_len w.closed);
+  let len = Int64.of_int (body_len - payload_at) in
+  set_le out len_at len;
+  set_le out (len_at + 8) (Int64.lognot len);
   Bytes.blit_string (Digest.subbytes out 0 body_len) 0 out body_len digest_len;
   Bytes.unsafe_to_string out
 
-let decode ~tag read blob =
-  let header = magic ^ "\n" ^ tag ^ "\n" in
-  let hlen = String.length header in
-  let len = String.length blob in
-  if len < hlen + digest_len || String.sub blob 0 hlen <> header then
-    fail "Snapshot_codec.decode: blob is not a %S snapshot" tag;
-  let body_len = len - digest_len in
-  let stored = String.sub blob body_len digest_len in
-  if not (Digest.equal stored (Digest.substring blob 0 body_len)) then
-    fail "Snapshot_codec.decode: %S snapshot failed its integrity check" tag;
-  let r = { buf = blob; limit = body_len; pos = hlen } in
-  let v = read r in
-  if r.pos <> r.limit then
-    fail "Snapshot_codec.decode: %S snapshot has %d trailing payload bytes" tag
-      (r.limit - r.pos);
-  v
+let base ~tag ~count emit = segment ~tag ~kind:Base ~from:0 ~count emit
+
+(* ---------- streams: when to write a base ---------- *)
+
+type stream = {
+  mutable last : int; (* count of the last segment; -1 before the first *)
+  mutable base_bytes : int; (* size of the last base *)
+  mutable delta_bytes : int; (* deltas written since it *)
+}
+
+let stream () = { last = -1; base_bytes = 0; delta_bytes = 0 }
+
+(* A base when nothing was written yet, or when the deltas since the
+   last base have outgrown it: a chain then never holds much more than
+   twice its state, and the bases written over a run add up to a
+   geometric series, O(1) bytes per request. *)
+let next st ~tag ~count emit =
+  let kind =
+    if st.last < 0 || st.delta_bytes > st.base_bytes then Base else Delta
+  in
+  let from = match kind with Base -> 0 | Delta -> st.last in
+  let seg = segment ~tag ~kind ~from ~count (emit kind) in
+  (match kind with
+  | Base ->
+      st.base_bytes <- String.length seg;
+      st.delta_bytes <- 0
+  | Delta -> st.delta_bytes <- st.delta_bytes + String.length seg);
+  st.last <- count;
+  seg
+
+(* ---------- chains ---------- *)
+
+type header = {
+  h_tag : string;
+  h_kind : kind;
+  h_from : int;
+  h_count : int;
+  h_payload : int; (* offset of the payload *)
+  h_stop : int; (* offset of the MD5, right behind the payload *)
+}
+
+type damage = Torn | Bad_header of string | Bad_digest
+
+(* The bytes of [s] from [pos] to its end are a proper prefix of [lit]. *)
+let cut_short s pos lit =
+  let n = String.length s - pos in
+  n < String.length lit && String.sub s pos n = String.sub lit 0 n
+
+(* The header of the segment at [pos], when [s] holds all of it: its
+   length fields agree and its bytes do not run past the end of [s]. A
+   segment cut short anywhere is [Torn]; the MD5 is not checked here. *)
+let read_header s pos ~tag =
+  let len = String.length s in
+  let t0 = pos + String.length magic in
+  let head = String.sub s pos (min (String.length magic) (len - pos)) in
+  if head <> magic then
+    Error
+      (if cut_short s pos magic then Torn
+       else if head = v2_magic then Bad_header "a retired v2 snapshot"
+       else Bad_header "bad magic")
+  else
+    let limit = min len (t0 + max_tag + 1) in
+    let rec newline i =
+      if i >= limit then -1 else if s.[i] = '\n' then i else newline (i + 1)
+    in
+    let t1 = newline t0 in
+    let torn_tag () =
+      limit = len
+      && match tag with Some t -> cut_short s t0 (t ^ "\n") | None -> true
+    in
+    if t1 < 0 then
+      Error (if torn_tag () then Torn else Bad_header "unterminated tag")
+    else
+      let t = String.sub s t0 (t1 - t0) in
+      let f = t1 + 1 in
+      let field k = String.get_int64_le s (f + 1 + (8 * k)) in
+      let payload = f + fixed_len in
+      match tag with
+      | Some want when want <> t ->
+          Error (Bad_header (Printf.sprintf "tag %S, not %S" t want))
+      | _ when payload > len -> Error Torn
+      | _ when s.[f] <> '\000' && s.[f] <> '\001' ->
+          Error (Bad_header "bad segment kind")
+      | _ when not (Int64.equal (field 3) (Int64.lognot (field 2))) ->
+          Error (Bad_header "damaged payload length")
+      | _ when Int64.compare (field 2) 0L < 0 ->
+          Error (Bad_header "negative payload length")
+      | _
+        when Int64.compare (field 2) (Int64.of_int (len - payload - digest_len))
+             > 0 ->
+          Error Torn
+      | _ ->
+          let from = Int64.to_int (field 0) in
+          let count = Int64.to_int (field 1) in
+          if from < 0 || count < from then
+            Error (Bad_header "bad request counts")
+          else
+            Ok
+              {
+                h_tag = t;
+                h_kind = (if s.[f] = '\000' then Base else Delta);
+                h_from = from;
+                h_count = count;
+                h_payload = payload;
+                h_stop = payload + Int64.to_int (field 2);
+              }
+
+let segment_info seg =
+  match read_header seg 0 ~tag:None with
+  | Ok h when h.h_stop + digest_len = String.length seg ->
+      (h.h_kind, h.h_from, h.h_count)
+  | _ -> invalid_arg "Snapshot_codec.segment_info: not one whole segment"
+
+type scan = {
+  segments : int;
+  count : int;
+  valid : int;
+  rest : damage option;
+}
+
+(* Checks each segment in order — header, MD5, and that the chain
+   starts with a base and each delta starts where the segment before it
+   ended — and hands it to [f]; stops at the first one that fails. *)
+let walk ?tag s f =
+  let len = String.length s in
+  let rec go pos segments count tag =
+    let stop rest = { segments; count; valid = pos; rest } in
+    if pos = len then stop None
+    else
+      match read_header s pos ~tag with
+      | Error d -> stop (Some d)
+      | Ok h -> (
+          if
+            not
+              (String.equal
+                 (String.sub s h.h_stop digest_len)
+                 (Digest.substring s pos (h.h_stop - pos)))
+          then stop (Some Bad_digest)
+          else
+            match (h.h_kind, segments) with
+            | Delta, 0 -> stop (Some (Bad_header "a delta starts the chain"))
+            | Delta, _ when h.h_from <> count ->
+                stop
+                  (Some
+                     (Bad_header
+                        (Printf.sprintf
+                           "a delta from request %d after a segment covering \
+                            %d"
+                           h.h_from count)))
+            | _ ->
+                f h;
+                let next = h.h_stop + digest_len in
+                go next (segments + 1) h.h_count (Some h.h_tag))
+  in
+  go 0 0 0 tag
+
+let scan s = walk s ignore
+
+let decode ~tag ?delta read chain =
+  if String.starts_with ~prefix:v2_magic chain then begin
+    let t0 = String.length v2_magic in
+    let t =
+      match String.index_from_opt chain t0 '\n' with
+      | Some i -> String.sub chain t0 (i - t0)
+      | None -> "?"
+    in
+    fail
+      "Snapshot_codec.decode: %S is a snapshot of the retired v2 whole-state \
+       format; this build reads v3 segment chains (%S)"
+      t tag
+  end;
+  let state = ref None in
+  let apply h =
+    let r = { buf = chain; limit = h.h_stop; pos = h.h_payload } in
+    (match (h.h_kind, !state, delta) with
+    | Base, _, _ -> state := Some (read r)
+    | Delta, Some st, Some delta -> delta st r
+    | Delta, _, _ ->
+        fail "Snapshot_codec.decode: %S chains have no delta segments" tag);
+    if r.pos <> r.limit then
+      fail "Snapshot_codec.decode: %S segment has %d trailing payload bytes" tag
+        (r.limit - r.pos)
+  in
+  let sc = walk ~tag chain apply in
+  match (sc.rest, !state) with
+  | None, Some st -> st
+  | None, None -> fail "Snapshot_codec.decode: empty %S snapshot" tag
+  | Some Torn, _ ->
+      fail
+        "Snapshot_codec.decode: %S snapshot is truncated (segment at byte %d)"
+        tag sc.valid
+  | Some Bad_digest, _ ->
+      fail
+        "Snapshot_codec.decode: %S snapshot failed its integrity check \
+         (segment at byte %d)"
+        tag sc.valid
+  | Some (Bad_header m), _ ->
+      fail
+        "Snapshot_codec.decode: blob is not a %S snapshot chain (%s at byte \
+         %d)"
+        tag m sc.valid
+
+let legacy_v2 ~tag blob =
+  let header = v2_magic ^ tag ^ "\n" in
+  let hlen = String.length header and len = String.length blob in
+  if len < hlen + digest_len || not (String.starts_with ~prefix:header blob)
+  then None
+  else
+    let body = len - digest_len in
+    if String.sub blob body digest_len <> Digest.substring blob 0 body then None
+    else Some { buf = blob; limit = body; pos = hlen }

@@ -1,30 +1,35 @@
-(** Versioned fixed-layout binary envelopes for algorithm state snapshots
-    (codec v2 — Marshal-free).
+(** Versioned fixed-layout segments of algorithm state, and the chains
+    they form (codec v3 — Marshal-free).
 
     Every online algorithm serializes its persisted state through this
-    codec with explicit field serializers: [encode ~tag emit] frames the
-    bytes [emit] writes as
+    codec with explicit field serializers. One segment is
 
-    {v "omflp.snap2" '\n' tag '\n' payload md5 v}
+    {v "omflp.snap3" '\n' tag '\n' kind from count len ~len payload md5 v}
 
-    where [md5] is the 16-byte MD5 of everything before it, and
-    [decode ~tag read blob] verifies the magic, the tag
-    ("omflp.snap.<algo>.v<n>"), and the digest before handing [read] a
-    bounds-checked reader over the payload. Unlike the old Marshal
-    envelope, the layout is stable across compiler versions and hostile
-    bytes can only produce a named [Failure] — never memory-unsafe
-    unmarshalling. Floats travel as their IEEE-754 bits and round-trip
-    bit-exactly; that exactness is what lets a restored algorithm produce
-    byte-identical decisions.
+    where [kind] says whether the payload is a whole state ({!Base}) or
+    what changed since the segment before it ({!Delta}), [from] and
+    [count] are the request counts the segment starts from and covers,
+    [len] is the payload length and [~len] its complement, and [md5] is
+    the 16-byte MD5 of everything before it — the segment's one
+    integrity check. Tags read ["omflp.snap.<algo>.v<n>"].
+
+    A chain is segments back to back: a base, then deltas, each starting
+    where the one before it ended. {!decode} verifies every segment's
+    header, MD5 and place in the chain before handing the algorithm a
+    bounds-checked reader over its payload; hostile bytes can only
+    produce a named [Failure], never memory-unsafe unmarshalling. Floats
+    travel as their IEEE-754 bits and round-trip bit-exactly; that
+    exactness is what lets a restored algorithm produce byte-identical
+    decisions.
 
     Encoding allocates about what it produces: the writer fills chunks
     that are never regrown or copied, fixed-width fields are stored into
-    them without boxing, and [encode] copies the chunks once into the
-    exact-size result, MD5 trailer included. *)
+    them without boxing, and a segment is one exact-size copy of the
+    chunks, MD5 trailer included. *)
 
 (** Accumulates payload bytes during encoding, in a 1 KiB first chunk
-    and then fixed 64 KiB chunks, none ever regrown. Only [encode]
-    creates one. *)
+    and then fixed 64 KiB chunks, none ever regrown. Only {!base} and
+    {!next} create one. *)
 type writer
 
 (** Cursor over a verified payload. All [r_*] readers bounds-check and
@@ -68,13 +73,79 @@ val r_array : (reader -> 'a) -> reader -> 'a array
 val r_float_array : reader -> float array
 val r_int_array : reader -> int array
 
-(** [encode ~tag emit] frames the payload written by [emit] under [tag]
-    and appends the MD5 footer. Raises [Invalid_argument] if [tag]
-    contains a newline. *)
-val encode : tag:string -> (writer -> unit) -> string
+(** {1 Segments} *)
 
-(** [decode ~tag read blob] verifies magic, tag, and MD5 footer, applies
-    [read] to the payload, and checks that [read] consumed it fully.
-    Raises [Failure] with a message naming [tag] on a foreign or
-    damaged blob. *)
-val decode : tag:string -> (reader -> 'a) -> string -> 'a
+type kind =
+  | Base  (** a whole state: the delta against the empty state *)
+  | Delta  (** what changed since the segment before it *)
+
+(** [base ~tag ~count emit] is a base segment holding the payload [emit]
+    writes, covering the first [count] requests. Raises
+    [Invalid_argument] if [tag] is longer than 255 bytes or contains a
+    newline. *)
+val base : tag:string -> count:int -> (writer -> unit) -> string
+
+(** Where a state's sequence of segments stands: the request count its
+    last segment covered, and how the deltas written since the last base
+    compare with it. A fresh stream's first segment is a base. *)
+type stream
+
+val stream : unit -> stream
+
+(** [next st ~tag ~count emit] is the stream's next segment, covering
+    the first [count] requests. It is a base when nothing was written
+    yet or when the deltas since the last base have outgrown it, a delta
+    otherwise; [emit kind w] writes the payload of that kind — the whole
+    state for [Base], what changed since the previous segment for
+    [Delta]. A chain built from a stream therefore stays within about
+    twice its state's size, and the bytes written per request stay
+    bounded as the state grows. *)
+val next :
+  stream -> tag:string -> count:int -> (kind -> writer -> unit) -> string
+
+(** [segment_info seg] is the kind and the request counts the segment
+    starts from and covers, read from the header of [seg], which must be
+    exactly one segment (its MD5 is not checked). Raises
+    [Invalid_argument] otherwise. *)
+val segment_info : string -> kind * int * int
+
+(** {1 Chains} *)
+
+(** What is wrong with the bytes at some position of a chain. [Torn]:
+    they are a proper prefix of a segment (the header is consistent as
+    far as it goes, and the segment would end past them) — what a crash
+    mid-append leaves. [Bad_header]: anything else wrong with the header
+    or the segment's place in the chain (a chain starts with a base and
+    each delta starts where the segment before it ended). [Bad_digest]:
+    a whole segment whose MD5 does not match. *)
+type damage = Torn | Bad_header of string | Bad_digest
+
+(** The result of {!scan}: the first [segments] segments, [valid] bytes
+    in all, are whole and intact, and the last of them covers [count]
+    requests (0 when there is none); [rest] says what is wrong with the
+    bytes after them, [None] when there are none. *)
+type scan = {
+  segments : int;
+  count : int;
+  valid : int;
+  rest : damage option;
+}
+
+(** [scan chain] checks a chain segment by segment without decoding any
+    payload. *)
+val scan : string -> scan
+
+(** [decode ~tag ?delta read chain] folds [chain]: each base segment's
+    payload is [read], each delta segment's is applied with [delta] to
+    the state so far; the result is the state the last segment leaves.
+    Each payload must be consumed exactly. Without [delta], a delta
+    segment is refused. Raises [Failure] with a message naming [tag] on
+    a foreign, retired-v2, truncated or damaged chain. *)
+val decode :
+  tag:string -> ?delta:('a -> reader -> unit) -> (reader -> 'a) -> string -> 'a
+
+(** [legacy_v2 ~tag blob] is a reader over the payload of [blob] when it
+    is an intact blob of the retired v2 format ["omflp.snap2" '\n' tag
+    '\n' payload md5] with this [tag], [None] otherwise — for restore to
+    name what a retired blob holds. *)
+val legacy_v2 : tag:string -> string -> reader option

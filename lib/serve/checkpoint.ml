@@ -1,7 +1,6 @@
 open Omflp_prelude
 
-let format_id = "omflp.serve.v1"
-let snapshot_magic = "omflp.serve.snapshot.v1"
+let format_id = "omflp.serve.v2"
 let manifest_file = "MANIFEST.json"
 let wal_file = "wal.jsonl"
 let decisions_file = "decisions.jsonl"
@@ -15,6 +14,7 @@ type t = {
   snapshot_every : int;
   wal_oc : out_channel;
   dec_oc : out_channel;
+  mutable chain_count : int; (* what [snapshot.bin] covers; -1 no file *)
 }
 
 let dir t = t.dir
@@ -56,6 +56,7 @@ let create ~dir ~algo ~seed ~instance_md5 ~snapshot_every =
     snapshot_every;
     wal_oc = append_channel (dir / wal_file);
     dec_oc = append_channel (dir / decisions_file);
+    chain_count = -1;
   }
 
 (* ---------- durable appends ---------- *)
@@ -78,40 +79,69 @@ let close t =
 
 (* ---------- snapshots ---------- *)
 
-let write_snapshot t ~count blob =
-  Atomic_file.write (t.dir / snapshot_file) (fun oc ->
-      Printf.fprintf oc "%s %d %s\n" snapshot_magic count
-        (Digest.to_hex (Digest.string blob));
-      output_string oc blob)
+(* The file is a segment chain: a base, replaced atomically, then the
+   deltas appended behind it. A delta goes through a channel opened for
+   that one append, so a session holds no snapshot descriptor between
+   cadence points. *)
+let write_snapshot t ~count seg =
+  let kind, from, covered = Snapshot_codec.segment_info seg in
+  if covered <> count then
+    invalid_arg
+      (Printf.sprintf
+         "Checkpoint.write_snapshot: the segment covers %d requests, not %d"
+         covered count);
+  let path = t.dir / snapshot_file in
+  (match kind with
+  | Snapshot_codec.Base -> Atomic_file.write_string path seg
+  | Snapshot_codec.Delta ->
+      (* After a failed write the file no longer ends where the state's
+         stream thinks it does; appending would break the chain. *)
+      if from <> t.chain_count then
+        fail
+          "Checkpoint.write_snapshot: a delta from request %d does not \
+           continue the snapshot file, which covers %d"
+          from t.chain_count;
+      let oc =
+        open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 path
+      in
+      Fun.protect
+        ~finally:(fun () -> close_out_noerr oc)
+        (fun () ->
+          output_string oc seg;
+          flush oc));
+  t.chain_count <- count
 
-let load_snapshot ~dir =
-  let path = dir / snapshot_file in
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+(* The chain's intact segments and the count the last one covers. A
+   crash between a delta's append and its flush leaves a proper prefix
+   of that segment at the end of the file: it is cut off, as a torn log
+   line is. Anything else wrong — a damaged or truncated base (bases are
+   renamed into place whole, so no crash tears one), a damaged segment
+   anywhere, a broken chain — fails by name. *)
+let load_snapshot path =
   if not (Sys.file_exists path) then None
   else begin
-    let ic = open_in_bin path in
-    let content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    let header, blob =
-      match String.index_opt content '\n' with
-      | None -> fail "Checkpoint.load_snapshot: corrupt snapshot header"
-      | Some i ->
-          ( String.sub content 0 i,
-            String.sub content (i + 1) (String.length content - i - 1) )
-    in
-    match String.split_on_char ' ' header with
-    | [ magic; count; md5 ] when magic = snapshot_magic -> (
-        match int_of_string_opt count with
-        | None -> fail "Checkpoint.load_snapshot: corrupt snapshot header"
-        | Some count ->
-            if Digest.to_hex (Digest.string blob) <> md5 then
-              fail
-                "Checkpoint.load_snapshot: snapshot integrity check failed \
-                 (truncated or corrupt)";
-            Some (count, blob))
-    | _ -> fail "Checkpoint.load_snapshot: corrupt snapshot header"
+    let chain = read_file path in
+    let sc = Snapshot_codec.scan chain in
+    let at = Printf.sprintf "segment %d at byte %d" sc.segments sc.valid in
+    match (sc.rest, sc.segments) with
+    | Some (Snapshot_codec.Bad_header m), _ ->
+        fail "Checkpoint.resume: corrupt snapshot header (%s: %s)" at m
+    | Some Snapshot_codec.Bad_digest, _ ->
+        fail "Checkpoint.resume: snapshot integrity check failed (%s)" at
+    | (None | Some Snapshot_codec.Torn), 0 ->
+        fail
+          "Checkpoint.resume: snapshot integrity check failed (truncated base \
+           segment)"
+    | Some Snapshot_codec.Torn, _ ->
+        Unix.truncate path sc.valid;
+        Some (sc.count, String.sub chain 0 sc.valid)
+    | None, _ -> Some (sc.count, chain)
   end
 
 (* ---------- resume ---------- *)
@@ -121,14 +151,8 @@ let load_snapshot ~dir =
    record disappears. *)
 let truncate_torn_tail path =
   if Sys.file_exists path then begin
-    let ic = open_in_bin path in
-    let len, content =
-      Fun.protect
-        ~finally:(fun () -> close_in ic)
-        (fun () ->
-          let n = in_channel_length ic in
-          (n, really_input_string ic n))
-    in
+    let content = read_file path in
+    let len = String.length content in
     let keep =
       match String.rindex_opt content '\n' with
       | None -> 0
@@ -239,7 +263,7 @@ let open_resume ~dir ~n_sites ~n_commodities ~instance_md5 =
       "Checkpoint.resume: %d decisions but only %d WAL entries (decision \
        log ahead of its WAL)"
       n_decisions n_wal;
-  let snapshot = load_snapshot ~dir in
+  let snapshot = load_snapshot (dir / snapshot_file) in
   (* The write order per batch is WAL flush -> decision flush ->
      snapshot, so a genuine crash always leaves
      snapshot count <= durable decisions <= WAL length; anything else is
@@ -261,6 +285,7 @@ let open_resume ~dir ~n_sites ~n_commodities ~instance_md5 =
       snapshot_every;
       wal_oc = append_channel (dir / wal_file);
       dec_oc = append_channel (dir / decisions_file);
+      chain_count = (match snapshot with Some (c, _) -> c | None -> -1);
     }
   in
   { cp; wal; decisions; n_decisions; snapshot }

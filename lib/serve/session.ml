@@ -91,13 +91,14 @@ let step_only t (r : Request.t) =
       t.count <- t.count + 1;
       d
 
-let take_snapshot t =
-  match (t.checkpoint, t.state) with
-  | None, _ -> ()
-  | Some cp, State ((module A), st) ->
-      Checkpoint.write_snapshot cp ~count:t.count (A.snapshot st);
-      t.snapshot_count <- t.count;
-      Metrics.incr snapshots_c
+(* The state's next snapshot segment, with the count it covers. *)
+let encode_snapshot t =
+  match t.state with State ((module A), st) -> (t.count, A.snapshot st)
+
+let write_snapshot t cp (count, segment) =
+  Checkpoint.write_snapshot cp ~count segment;
+  t.snapshot_count <- count;
+  Metrics.incr snapshots_c
 
 (* Decision lines queue in [dec_buf]; [flush_decisions] makes them
    durable with one append. *)
@@ -115,14 +116,18 @@ let flush_decisions t =
 (* The one entry point that steps and logs requests: the WAL lines of
    the whole batch are made durable in one flush before any step runs,
    every request is then stepped in arrival order, and the decision
-   lines land in one flush at the end — so how a stream is cut into
-   batches (one request each on stdin, up to a turn's 32 lines on a socket)
-   never changes a logged byte. A crash or a failing step mid-batch
-   leaves the standard crash-window shape (WAL ahead of decisions); the
-   decisions of the stepped prefix are flushed before the error
-   propagates, so the durable log never falls behind a snapshot written
-   at [close]. Decision records observe the per-request cost evolution,
-   so only the IO is batched: each request is its own [step]. *)
+   lines land in one flush at the end, followed by the snapshot segments
+   of the cadence points the batch crossed. Each segment is encoded at
+   its cadence point, so how a stream is cut into batches (one request
+   each on stdin, up to a turn's 32 lines on a socket) never changes a
+   logged byte, snapshot file included. A crash or a failing step
+   mid-batch leaves the standard crash-window shape (WAL ahead of
+   decisions); the decisions of the stepped prefix and the segments
+   encoded before the failure are written before the error propagates,
+   so the durable log never falls behind a snapshot and the snapshot
+   file stays a chain the state's next segment continues. Decision
+   records observe the per-request cost evolution, so only the IO is
+   batched: each request is its own [step]. *)
 let handle_batch t (reqs : Request.t array) =
   let n = Array.length reqs in
   if n = 0 then [||]
@@ -140,12 +145,23 @@ let handle_batch t (reqs : Request.t array) =
         Checkpoint.append_wal_batch cp t.wal_buf
     | None -> ());
     Buffer.clear t.dec_buf;
-    let ds_rev = ref [] in
+    let ds_rev = ref [] and segments_rev = ref [] in
+    let finish () =
+      flush_decisions t;
+      match t.checkpoint with
+      | Some cp -> List.iter (write_snapshot t cp) (List.rev !segments_rev)
+      | None -> ()
+    in
     (try
        Array.iter
          (fun r ->
            let d = step_only t r in
-           if Option.is_some t.checkpoint then log_decision t d;
+           (match t.checkpoint with
+           | Some cp ->
+               log_decision t d;
+               if t.count mod Checkpoint.snapshot_every cp = 0 then
+                 segments_rev := encode_snapshot t :: !segments_rev
+           | None -> ());
            Trace_sink.emit_current ~kind:"serve.step"
              [
                ("index", Trace_sink.Int d.Wire.index);
@@ -155,15 +171,9 @@ let handle_batch t (reqs : Request.t array) =
            ds_rev := d :: !ds_rev)
          reqs
      with e ->
-       flush_decisions t;
+       finish ();
        raise e);
-    flush_decisions t;
-    (match t.checkpoint with
-    | Some cp
-      when t.count / Checkpoint.snapshot_every cp
-           > (t.count - n) / Checkpoint.snapshot_every cp ->
-        take_snapshot t
-    | _ -> ());
+    finish ();
     let ds = Array.make n (List.hd !ds_rev) in
     List.iteri (fun i d -> ds.(n - 1 - i) <- d) !ds_rev;
     ds
@@ -268,4 +278,6 @@ let close t =
          does not leak their descriptors. *)
       Fun.protect
         ~finally:(fun () -> Checkpoint.close cp)
-        (fun () -> if t.snapshot_count <> t.count then take_snapshot t)
+        (fun () ->
+          if t.snapshot_count <> t.count then
+            write_snapshot t cp (encode_snapshot t))

@@ -5,10 +5,12 @@
     and socket sessions open through {!start} and step through
     {!handle_batch}, so both write the same logs for the same stream.
     With a {!Checkpoint.t} attached, every batch is write-ahead logged
-    before the algorithm steps and its decisions are appended after; a
-    state snapshot is written every [snapshot_every] requests and at
-    {!close}. {!resume} restores the snapshot, replays the WAL suffix,
-    and — by the byte-identical continuation contract of
+    before the algorithm steps and its decisions are appended after; the
+    algorithm's next snapshot segment (a delta since the previous one,
+    or a base) is encoded at every [snapshot_every]-th request and
+    written after the batch's decisions, and one more at {!close}.
+    {!resume} restores the snapshot chain, replays the WAL suffix, and —
+    by the byte-identical continuation contract of
     {!Omflp_core.Algo_intf.ALGO.snapshot} — continues exactly the
     decision stream of the uninterrupted run.
 
@@ -32,12 +34,14 @@ val create :
 
 (** [handle_batch t reqs] is the only way a request is stepped and
     logged. It appends the batch's WAL lines with one flush before the
-    first step, steps each request in order, appends the decisions with
-    one flush after the last, and writes a snapshot when the batch
-    crosses a [snapshot_every] boundary. How a stream is cut into
-    batches never changes a logged byte: a one-request batch (stdin
-    mode) logs what any grouping does. A failing step flushes the
-    decisions of the stepped prefix before the exception propagates,
+    first step, steps each request in order — encoding the algorithm's
+    next snapshot segment whenever the count reaches a multiple of
+    [snapshot_every] — appends the decisions with one flush after the
+    last, and then writes those segments in order. How a stream is cut
+    into batches never changes a logged byte, snapshot file included: a
+    one-request batch (stdin mode) logs what any grouping does. A
+    failing step writes the decisions of the stepped prefix and the
+    segments encoded before it before the exception propagates,
     preserving the crash-window shape (snapshot <= decisions <= WAL). *)
 val handle_batch :
   t -> Omflp_instance.Request.t array -> Wire.decision array
@@ -88,8 +92,8 @@ val count : t -> int
 (** [running_costs t] is (construction, assignment, total) so far. *)
 val running_costs : t -> float * float * float
 
-(** [close t] writes a final snapshot, unless this session's cadence
-    already wrote one at the current count, and closes the checkpoint
-    (no-op without one). The checkpoint's logs are closed even when the
-    snapshot write raises. *)
+(** [close t] writes a final snapshot segment, unless this session's
+    cadence already wrote one at the current count, and closes the
+    checkpoint (no-op without one). The checkpoint's logs are closed
+    even when the snapshot write raises. *)
 val close : t -> unit

@@ -162,9 +162,17 @@ let prop_cache_exact =
         inst.Instance.requests;
       !ok)
 
+(* [t]'s whole state as one segment. [Pd_omflp.snapshot] returns a delta
+   once a state has written its first segment, so states are compared by
+   this encoding instead. *)
+let whole_state t =
+  Omflp_prelude.Snapshot_codec.base ~tag:"whole-state" ~count:0 (fun w ->
+      Pd_omflp.write w t)
+
 let prop_cache_survives_restore =
   (* The bid caches travel in the snapshot verbatim: a run restored at any
-     cut point keeps exact caches and continues byte-identically. *)
+     cut point keeps exact caches and continues byte-identically, into
+     the same whole state. *)
   QCheck.Test.make ~name:"bid caches survive snapshot/restore" ~count:40
     QCheck.small_int (fun seed ->
       let inst = random_instance seed in
@@ -183,7 +191,36 @@ let prop_cache_survives_restore =
             if Pd_omflp.cache_drift t' > 1e-9 then ok := false
           end)
         requests;
-      !ok && String.equal (Pd_omflp.snapshot t) (Pd_omflp.snapshot t'))
+      !ok && String.equal (whole_state t) (whole_state t'))
+
+let prop_delta_chain_restores_state =
+  (* Snapshot every [every] requests, keeping the chain a checkpoint file
+     would hold (a base replaces it, a delta is appended): restoring the
+     chain at any cadence point gives the live state byte for byte, past
+     caps that a later opening lowered included. *)
+  QCheck.Test.make ~name:"delta chains restore the live state" ~count:40
+    QCheck.small_int (fun seed ->
+      let inst = random_instance seed in
+      let env = Instance.env inst in
+      let every = 1 + (seed mod 3) in
+      let t = Pd_omflp.create env in
+      let chain = Buffer.create 4096 in
+      let ok = ref true in
+      Array.iteri
+        (fun i r ->
+          ignore (Pd_omflp.step t r);
+          if (i + 1) mod every = 0 then begin
+            let seg = Pd_omflp.snapshot t in
+            (match Omflp_prelude.Snapshot_codec.segment_info seg with
+            | Omflp_prelude.Snapshot_codec.Base, _, _ -> Buffer.clear chain
+            | Omflp_prelude.Snapshot_codec.Delta, _, _ -> ());
+            Buffer.add_string chain seg;
+            let t' = Pd_omflp.restore env (Buffer.contents chain) in
+            if not (String.equal (whole_state t) (whole_state t')) then
+              ok := false
+          end)
+        inst.Instance.requests;
+      !ok)
 
 let prop_corollary8 =
   QCheck.Test.make ~name:"Corollary 8: cost <= 3 * dual objective" ~count:80
@@ -356,5 +393,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_corollary17;
           QCheck_alcotest.to_alcotest prop_dual_lower_bound_below_opt;
           QCheck_alcotest.to_alcotest prop_competitive_against_exact_opt;
+          QCheck_alcotest.to_alcotest prop_delta_chain_restores_state;
         ] );
     ]

@@ -499,12 +499,21 @@ module Ref_codec = struct
     w_int b (Array.length xs);
     Array.iter (w b) xs
 
-  let encode ~tag emit =
+  (* A base segment: header, payload length and its complement, MD5. *)
+  let encode ~tag ~count emit =
+    let p = Buffer.create 256 in
+    emit p;
     let b = Buffer.create 256 in
-    Buffer.add_string b "omflp.snap2\n";
+    Buffer.add_string b "omflp.snap3\n";
     Buffer.add_string b tag;
     Buffer.add_char b '\n';
-    emit b;
+    w_u8 b 0;
+    w_int b 0;
+    w_int b count;
+    let len = Int64.of_int (Buffer.length p) in
+    w_i64 b len;
+    w_i64 b (Int64.lognot len);
+    Buffer.add_buffer b p;
     let body = Buffer.contents b in
     body ^ Digest.string body
 end
@@ -522,7 +531,7 @@ type codec_op =
   | C_list of int list
   | C_opt of float option
 
-let codec_tag = "omflp.snap.codec-test.v2"
+let codec_tag = "omflp.snap.codec-test.v3"
 
 let write_op w = function
   | C_u8 n -> Snapshot_codec.w_u8 w n
@@ -641,11 +650,11 @@ let prop_codec_matches_reference =
   QCheck.Test.make ~name:"chunked writer = Buffer reference, and decodes"
     ~count:60 codec_ops_gen (fun ops ->
       let blob =
-        Snapshot_codec.encode ~tag:codec_tag (fun w ->
+        Snapshot_codec.base ~tag:codec_tag ~count:7 (fun w ->
             List.iter (write_op w) ops)
       in
       let expected =
-        Ref_codec.encode ~tag:codec_tag (fun b ->
+        Ref_codec.encode ~tag:codec_tag ~count:7 (fun b ->
             List.iter (ref_write_op b) ops)
       in
       String.equal blob expected
@@ -658,7 +667,7 @@ let test_codec_float_sub_bounds () =
   List.iter
     (fun (off, len) ->
       match
-        Snapshot_codec.encode ~tag:codec_tag (fun w ->
+        Snapshot_codec.base ~tag:codec_tag ~count:0 (fun w ->
             Snapshot_codec.w_float_sub w a off len)
       with
       | _ -> Alcotest.failf "w_float_sub a %d %d accepted a bad slice" off len
@@ -668,7 +677,7 @@ let test_codec_float_sub_bounds () =
   List.iter
     (fun off ->
       ignore
-        (Snapshot_codec.encode ~tag:codec_tag (fun w ->
+        (Snapshot_codec.base ~tag:codec_tag ~count:0 (fun w ->
              Snapshot_codec.w_float_sub w a off 0)))
     [ 0; 6 ]
 
@@ -686,12 +695,13 @@ let test_codec_encode_allocation () =
       Snapshot_codec.w_int w i
     done
   in
-  ignore (Snapshot_codec.encode ~tag:codec_tag emit);
+  ignore (Snapshot_codec.base ~tag:codec_tag ~count:0 emit);
   let before = Gc.minor_words () in
-  let blob = Snapshot_codec.encode ~tag:codec_tag emit in
+  let blob = Snapshot_codec.base ~tag:codec_tag ~count:0 emit in
   let words = Gc.minor_words () -. before in
   check_int "blob length"
-    (String.length ("omflp.snap2\n" ^ codec_tag ^ "\n") + (8 * 200_002) + 16)
+    (String.length ("omflp.snap3\n" ^ codec_tag ^ "\n")
+    + 33 + (8 * 200_002) + 16)
     (String.length blob);
   if words >= 1000.0 then
     Alcotest.failf "encode of 200,000 values allocated %.0f minor words" words

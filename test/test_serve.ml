@@ -113,14 +113,15 @@ let test_kill_at_every_step () =
 
 (* ---------- committed snapshot fixtures (codec cross-version) ---------- *)
 
-(* The v2 wire format is pinned by committed fixture blobs: for every
-   registered algorithm, a snapshot taken after the first 5 requests of
-   scenario 0 must equal the committed bytes exactly, and the committed
-   bytes must restore and continue into the golden uninterrupted run. A
-   failure here means the codec layout changed under existing snapshots
-   — bump the algorithm's snapshot tag and regenerate deliberately with
-   [dune exec tools/gen_snapshot_fixtures.exe]. *)
-let fixture_path ?(dir = "snapshot_v2") name =
+(* The v3 wire format is pinned by committed fixture segments: for every
+   registered algorithm, the first snapshot (a base) taken after the
+   first 5 requests of its family's scenario must equal the committed
+   bytes exactly, and the committed bytes must restore and continue into
+   the golden uninterrupted run. A failure here means the codec layout
+   changed under existing snapshots — bump the algorithm's snapshot tag,
+   move the old fixtures under snapshot_legacy/ and regenerate
+   deliberately with [dune exec tools/gen_snapshot_fixtures.exe]. *)
+let fixture_path ?(dir = "snapshot_v3") name =
   let rel =
     Filename.concat "golden"
       (Filename.concat dir (String.lowercase_ascii name ^ ".snap"))
@@ -164,6 +165,27 @@ let test_snapshot_fixture_cross_version () =
                name)
             md5 digest
       | None -> Alcotest.failf "no golden digest for %d %s" index name)
+    (Registry.extended ())
+
+(* The v2 fixtures, whole-state blobs of the format v3 retired, are kept
+   under snapshot_legacy/v2/: every algorithm refuses its own by name. *)
+let test_v2_fixtures_refused () =
+  List.iter
+    (fun (name, (module A : Algo_intf.ALGO)) ->
+      let inst, _ = scenario (family_index A.family) in
+      let blob =
+        In_channel.with_open_bin
+          (fixture_path ~dir:(Filename.concat "snapshot_legacy" "v2") name)
+          In_channel.input_all
+      in
+      match A.restore (Instance.env inst) blob with
+      | _ -> Alcotest.failf "%s: a v2 blob restored" name
+      | exception Failure msg ->
+          check_bool
+            (Printf.sprintf "%s refusal %S names the retired v2 format" name
+               msg)
+            true
+            (contains ~sub:"retired v2" msg))
     (Registry.extended ())
 
 (* A blob must only restore into the algorithm that wrote it. *)
@@ -315,6 +337,26 @@ let with_temp_dir f =
 let read_lines path =
   if not (Sys.file_exists path) then []
   else In_channel.with_open_text path In_channel.input_lines
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* Where each segment of [chain] starts, found with the codec's own scan:
+   one byte off the end tears the last segment, so the intact prefix the
+   scan reports ends where that segment starts. *)
+let segment_starts chain =
+  let rec go len acc =
+    if len = 0 then acc
+    else
+      let start =
+        (Omflp_prelude.Snapshot_codec.scan (String.sub chain 0 (len - 1)))
+          .Omflp_prelude.Snapshot_codec.valid
+      in
+      go start (start :: acc)
+  in
+  go (String.length chain) []
 
 let md5 = "0123456789abcdef0123456789abcdef"
 
@@ -493,12 +535,18 @@ let test_corruption_is_named () =
       ~n_commodities:(Instance.n_commodities inst)
       ~instance_md5:md5
   in
-  (* Truncated snapshot: the MD5 in the header no longer matches. *)
+  (* Truncated base segment. Bases are renamed into place whole, so no
+     crash can cut one short (a cut in a later, appended segment is a
+     torn tail that resume drops; see the torn-segment test). *)
   let snap = Filename.concat dir "snapshot.bin" in
   let content = In_channel.with_open_bin snap In_channel.input_all in
+  let base_end =
+    match segment_starts content with
+    | _ :: next :: _ -> next
+    | _ -> String.length content
+  in
   Out_channel.with_open_bin snap (fun oc ->
-      Out_channel.output_string oc
-        (String.sub content 0 (String.length content - 3)));
+      Out_channel.output_string oc (String.sub content 0 (base_end - 3)));
   expect_failure ~substring:"snapshot integrity check failed" open_rz;
   (* Garbage header. *)
   Out_channel.with_open_bin snap (fun oc ->
@@ -521,6 +569,208 @@ let test_corruption_is_named () =
         ~n_sites:(Instance.n_sites inst)
         ~n_commodities:(Instance.n_commodities inst)
         ~instance_md5:(String.make 32 'f'))
+
+(* The kill-at-every-step property through the serving layer: every
+   registered algorithm is served by [Session] with a [Checkpoint] at
+   cadences 1 and 3, abandoned after every k requests as a SIGKILL would
+   leave it, resumed from the snapshot chain on disk, and finished; the
+   durable decision log must equal the straight-through run's. At
+   cadence 1 PD-OMFLP's chains hold a base and several deltas. *)
+let test_chain_resume_all_algorithms () =
+  List.iter
+    (fun (name, (module A : Algo_intf.ALGO)) ->
+      let algo = (module A : Algo_intf.ALGO) in
+      let inst, seed = scenario (family_index A.family) in
+      let env = Instance.env inst and n = Instance.n_requests inst in
+      let reference =
+        let s = Session.create ~algo ~seed env in
+        Array.to_list inst.Instance.requests
+        |> List.map (fun r -> Wire.decision_to_json (handle_one s r))
+      in
+      let longest = ref 0 in
+      List.iter
+        (fun every ->
+          for k = 0 to n do
+            with_temp_dir @@ fun dir ->
+            let cp =
+              Checkpoint.create ~dir ~algo:A.name ~seed:(Some seed)
+                ~instance_md5:md5 ~snapshot_every:every
+            in
+            let s = Session.create ~algo ~seed ~checkpoint:cp env in
+            for i = 0 to k - 1 do
+              ignore (handle_one s inst.Instance.requests.(i))
+            done;
+            Checkpoint.close cp;
+            let snap = Filename.concat dir "snapshot.bin" in
+            if Sys.file_exists snap then
+              longest :=
+                max !longest
+                  (Omflp_prelude.Snapshot_codec.scan (read_file snap))
+                    .Omflp_prelude.Snapshot_codec.segments;
+            let rz =
+              Checkpoint.open_resume ~dir
+                ~n_sites:(Instance.n_sites inst)
+                ~n_commodities:(Instance.n_commodities inst)
+                ~instance_md5:md5
+            in
+            let s, lost = Session.resume ~algo rz env in
+            if lost <> [] then
+              Alcotest.failf "%s, cadence %d, kill at %d: lost decisions" name
+                every k;
+            for i = Session.count s to n - 1 do
+              ignore (handle_one s inst.Instance.requests.(i))
+            done;
+            Session.close s;
+            if read_lines (Filename.concat dir "decisions.jsonl") <> reference
+            then
+              Alcotest.failf
+                "%s, cadence %d: the decision log after a kill at %d differs \
+                 from the straight-through run"
+                name every k
+          done)
+        [ 1; 3 ];
+      if name = Pd_omflp.name then
+        check_bool
+          (Printf.sprintf "PD-OMFLP resumed from a chain of %d segments"
+             !longest)
+          true (!longest >= 3))
+    (Registry.extended ())
+
+(* A crash between a delta's append and its flush leaves a proper prefix
+   of that segment at the end of snapshot.bin. For a cut at every byte
+   offset inside the last segment, resume drops it, restores the chain
+   before it and finishes into the straight-through decision log. One
+   flipped byte anywhere in the base or in a delta that is not the last
+   segment is refused by name instead. *)
+let test_torn_and_damaged_segments () =
+  let inst, _ = scenario 0 in
+  let env = Instance.env inst and n = Instance.n_requests inst in
+  let reference = reference_decisions inst in
+  with_temp_dir @@ fun src ->
+  let snap dir = Filename.concat dir "snapshot.bin" in
+  (* Serve at cadence 1 until the chain holds a base and two deltas. *)
+  let cp = fresh_checkpoint ~dir:src ~snapshot_every:1 in
+  let s = Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp env in
+  let rec serve k =
+    if k = n then Alcotest.fail "the chain never reached three segments";
+    ignore (handle_one s inst.Instance.requests.(k));
+    let sc = Omflp_prelude.Snapshot_codec.scan (read_file (snap src)) in
+    if sc.Omflp_prelude.Snapshot_codec.segments < 3 then serve (k + 1)
+  in
+  serve 0;
+  Checkpoint.close cp;
+  let chain = read_file (snap src) in
+  let logs =
+    List.map
+      (fun f -> (f, read_file (Filename.concat src f)))
+      [ "MANIFEST.json"; "wal.jsonl"; "decisions.jsonl" ]
+  in
+  let starts = segment_starts chain in
+  let last = List.nth starts (List.length starts - 1) in
+  let base_end = List.nth starts 1 in
+  let covered_before =
+    (Omflp_prelude.Snapshot_codec.scan (String.sub chain 0 last))
+      .Omflp_prelude.Snapshot_codec.count
+  in
+  let with_chain bytes f =
+    with_temp_dir @@ fun dir ->
+    Unix.mkdir dir 0o755;
+    List.iter (fun (name, c) -> write_file (Filename.concat dir name) c) logs;
+    write_file (snap dir) bytes;
+    f dir
+  in
+  let open_rz dir () =
+    Checkpoint.open_resume ~dir
+      ~n_sites:(Instance.n_sites inst)
+      ~n_commodities:(Instance.n_commodities inst)
+      ~instance_md5:md5
+  in
+  for cut = last to String.length chain - 1 do
+    with_chain (String.sub chain 0 cut) (fun dir ->
+        let rz = open_rz dir () in
+        (match rz.Checkpoint.snapshot with
+        | Some (count, _) ->
+            check_int "resumes from the segment before the torn one"
+              covered_before count
+        | None -> Alcotest.fail "expected a snapshot");
+        check_int "the torn segment is cut off the file" last
+          (String.length (read_file (snap dir)));
+        let s, _ = Session.resume ~algo:algo_pd rz env in
+        for i = Session.count s to n - 1 do
+          ignore (handle_one s inst.Instance.requests.(i))
+        done;
+        Session.close s;
+        Alcotest.(check (list string))
+          (Printf.sprintf "decision log after a cut at byte %d of %d" cut
+             (String.length chain))
+          reference
+          (read_lines (Filename.concat dir "decisions.jsonl")))
+  done;
+  List.iter
+    (fun (what, lo, hi) ->
+      for i = lo to hi - 1 do
+        let b = Bytes.of_string chain in
+        Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+        with_chain (Bytes.to_string b) (fun dir ->
+            match open_rz dir () with
+            | rz ->
+                Checkpoint.close rz.Checkpoint.cp;
+                Alcotest.failf "a flipped byte %d in the %s was accepted" i what
+            | exception Failure msg ->
+                if not (contains ~sub:"Checkpoint.resume: " msg) then
+                  Alcotest.failf "byte %d of the %s: unnamed failure %S" i what
+                    msg)
+      done)
+    [ ("base", 0, base_end); ("non-tail delta", base_end, last) ]
+
+(* O(delta) checkpoints: on the durable benchmark's shape (clustered, 16
+   sites, |S| = 8, cadence 16) a checkpointed PD-OMFLP session writes
+   about as many snapshot bytes per request over 2,000 requests as over
+   250; rewriting the whole state at every cadence point wrote 7.2 times
+   as many. Bytes are counted off the file after each cadence point and
+   at close: a base leaves a one-segment file, a delta grows the file by
+   its own size. *)
+let test_snapshot_bytes_per_request_bounded () =
+  let inst =
+    Generators.clustered (Omflp_prelude.Splitmix.of_int 1) ~clusters:4
+      ~per_cluster:4 ~n_requests:2000 ~n_commodities:8 ~side:100.0 ~spread:2.0
+      ~cost:(fun ~n_commodities ~n_sites ->
+        Omflp_commodity.Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
+  in
+  let per_request len =
+    with_temp_dir @@ fun dir ->
+    let path = Filename.concat dir "snapshot.bin" in
+    let cp = fresh_checkpoint ~dir ~snapshot_every:16 in
+    let s =
+      Session.create ~algo:algo_pd ~seed:0 ~checkpoint:cp (Instance.env inst)
+    in
+    let written = ref 0 and size = ref 0 in
+    let account () =
+      let chain = read_file path in
+      let sc = Omflp_prelude.Snapshot_codec.scan chain in
+      written :=
+        !written
+        + (if sc.Omflp_prelude.Snapshot_codec.segments = 1 then
+             String.length chain
+           else String.length chain - !size);
+      size := String.length chain
+    in
+    for i = 0 to len - 1 do
+      ignore (handle_one s inst.Instance.requests.(i));
+      if Session.count s mod 16 = 0 then account ()
+    done;
+    let at_cadence = Session.count s mod 16 = 0 in
+    Session.close s;
+    if not at_cadence then account ();
+    float_of_int !written /. float_of_int len
+  in
+  let short = per_request 250 and long = per_request 2000 in
+  check_bool
+    (Printf.sprintf
+       "%.0f snapshot bytes/request at 2000 requests vs %.0f at 250 (bound 2x)"
+       long short)
+    true
+    (long <= 2.0 *. short)
 
 (* ---------- manifest validation (regression: int_of_float truncation) ---------- *)
 
@@ -1403,8 +1653,13 @@ let () =
         [
           Alcotest.test_case "kill at every step, all algorithms" `Slow
             test_kill_at_every_step;
-          Alcotest.test_case "committed v2 fixtures restore and continue"
+          Alcotest.test_case
+            "chain restore through a checkpoint, all algorithms" `Slow
+            test_chain_resume_all_algorithms;
+          Alcotest.test_case "committed v3 fixtures restore and continue"
             `Quick test_snapshot_fixture_cross_version;
+          Alcotest.test_case "v2 fixtures refused by name" `Quick
+            test_v2_fixtures_refused;
           Alcotest.test_case "foreign blob rejected" `Quick
             test_snapshot_rejects_foreign_blob;
           Alcotest.test_case "legacy recomputing PD blobs refused" `Quick
@@ -1435,6 +1690,10 @@ let () =
             test_torn_tails_and_crash_window;
           Alcotest.test_case "corruption errors are named" `Quick
             test_corruption_is_named;
+          Alcotest.test_case "torn and damaged snapshot segments" `Quick
+            test_torn_and_damaged_segments;
+          Alcotest.test_case "snapshot bytes per request do not grow" `Quick
+            test_snapshot_bytes_per_request_bounded;
           Alcotest.test_case "manifest validation" `Quick
             test_manifest_validation;
           Alcotest.test_case "resume detects divergent snapshot" `Quick

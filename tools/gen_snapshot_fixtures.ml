@@ -1,11 +1,13 @@
-(* Regenerates test/golden/snapshot_v2/<algo>.snap: the committed
-   snapshot-codec fixtures. Each file holds the exact blob every
-   registered algorithm emits after serving the first 5 requests of a
-   golden check scenario of its own family (index 0 for OMFLP, 30 for
-   non-metric, 33 for leasing) — test_serve pins current snapshots to
-   these bytes and proves the committed bytes still restore and continue
-   into the golden run digests. Regenerate ONLY on a deliberate
-   wire-format change, together with a tag bump in the algorithm's codec.
+(* Regenerates test/golden/snapshot_v3/<algo>.snap: the committed
+   snapshot-codec fixtures. Each file holds the exact segment every
+   registered algorithm emits on its first snapshot — a base — after
+   serving the first 5 requests of a golden check scenario of its own
+   family (index 0 for OMFLP, 30 for non-metric, 33 for leasing) —
+   test_serve pins current snapshots to these bytes and proves the
+   committed bytes still restore and continue into the golden run
+   digests. Regenerate ONLY on a deliberate wire-format change, together
+   with a tag bump in the algorithm's codec, and move the replaced
+   fixtures under test/golden/snapshot_legacy/.
 
    Usage: dune exec tools/gen_snapshot_fixtures.exe *)
 
@@ -23,7 +25,7 @@ let scenario_for fam =
   Omflp_check.Scenario.golden ~master_seed ~index
 
 let () =
-  let dir = Filename.concat "test" (Filename.concat "golden" "snapshot_v2") in
+  let dir = Filename.concat "test" (Filename.concat "golden" "snapshot_v3") in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   List.iter
     (fun (name, (module A : Omflp_core.Algo_intf.ALGO)) ->
