@@ -174,7 +174,7 @@ let store t = t.store
    map is serialized sorted by inner id so the blob does not depend on
    hashtable iteration order. *)
 
-let snapshot_tag = "omflp.snap.heavy-aware.v3"
+let snapshot_tag = "omflp.snap.heavy-aware.v4"
 
 let w_heavy_past b (p : heavy_past) =
   Snapshot_codec.w_int b p.site;
@@ -205,12 +205,6 @@ let snapshot t =
       Snapshot_codec.w_int b t.n_requests)
 
 let restore env blob =
-  (* A retired v2 blob nests a v2 PD blob: name its recomputing mode. *)
-  (match Snapshot_codec.legacy_v2 ~tag:"omflp.snap.heavy-aware.v2" blob with
-  | Some r ->
-      ignore (Cset.read r);
-      Pd_omflp.refuse_retired (Snapshot_codec.r_string r)
-  | None -> ());
   Snapshot_codec.decode ~tag:snapshot_tag
     (fun r ->
       let z_heavy = Cset.read r in

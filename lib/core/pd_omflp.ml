@@ -7,9 +7,9 @@ open Omflp_obs
 (* Work counters (lib/obs). [pd.loop_iters] counts event-loop
    iterations, which fire exactly one tightness event each, so it always
    equals the sum of the four [pd.event.*] counters;
-   [pd.facilities_opened] counts confirmed openings only (trace
-   [Opened_small] events of a request that ended in a large facility are
-   discarded tentatives). *)
+   [pd.facilities_opened] counts confirmed openings only ([open_small]
+   events of a request that ended in a large facility are discarded
+   tentatives). *)
 let m_requests = Metrics.counter "pd.requests"
 
 let m_loop_iters = Metrics.counter "pd.loop_iters"
@@ -32,12 +32,6 @@ type dual_record = {
   duals : float array;
   dual_sum : float;
 }
-
-type fired =
-  | Connected_small of { commodity : int; facility : int; dual : float }
-  | Opened_small of { commodity : int; site : int; dual : float }
-  | Connected_large of { facility : int; dual_sum : float }
-  | Opened_large of { site : int; dual_sum : float }
 
 (* Local positive part for the innermost loops. [Numerics.pos] is a
    cross-module call, which without flambda boxes its float argument and
@@ -70,8 +64,6 @@ type t = {
   mutable p_cap4 : float array;
   mutable p_duals : float array; (* flat n_past x s *)
   mutable p_caps : float array; (* flat n_past x s *)
-  mutable trace_rev : fired list list;
-  mutable n_requests : int;
   (* Bid sums of all past requests, maintained across arrivals (they only
      move when a facility opens): [b3_cache.(e*n_sites + m)] is the
      constraint-(3) bid sum towards a small facility {e} at site m;
@@ -131,8 +123,6 @@ let create ?seed:_ env =
     p_cap4 = [||];
     p_duals = [||];
     p_caps = [||];
-    trace_rev = [];
-    n_requests = 0;
     b3_cache = Array.make (n_commodities * n_sites) 0.0;
     b4_cache = Array.make n_sites 0.0;
     f3 = Array.make n_commodities None;
@@ -260,7 +250,7 @@ let open_facility t ~site ~kind =
   in
   let fac =
     Facility_store.open_facility t.store ~site ~kind ~cost
-      ~opened_at:t.n_requests
+      ~opened_at:t.n_past
   in
   Metrics.incr m_facilities_opened;
   note_facility_opened t fac;
@@ -307,7 +297,6 @@ let step t (r : Request.t) =
   fb.(2) <- 0.0 (* Σ a_re so far *);
   let large_kind = ref 0 (* 0 none / 1 existing / 2 new *) in
   let large_tgt = ref (-1) in
-  let fired_rev = ref [] in
   let finished = ref false in
   (* Indices into [es] still unserved, in ascending order — compacted in
      place after every event instead of rebuilt as a fresh list per loop
@@ -421,35 +410,24 @@ let step t (r : Request.t) =
           let fid = nid.((e * n_sites) + r.site) in
           sk.(e) <- 1;
           sid.(e) <- fid;
-          Metrics.incr m_connect_small;
-          fired_rev :=
-            Connected_small
-              { commodity = e; facility = fid; dual = duals.(abase + e) }
-            :: !fired_rev
+          Metrics.incr m_connect_small
       | 1 ->
           let e = es.(!best_i) in
           let m = !best_m in
           sk.(e) <- 2;
           sid.(e) <- m;
-          Metrics.incr m_open_small;
-          fired_rev :=
-            Opened_small { commodity = e; site = m; dual = duals.(abase + e) }
-            :: !fired_rev
+          Metrics.incr m_open_small
       | 2 ->
           let fid = nil.(r.site) in
           large_kind := 1;
           large_tgt := fid;
           Metrics.incr m_connect_large;
-          fired_rev :=
-            Connected_large { facility = fid; dual_sum = fb.(2) }
-            :: !fired_rev;
           finished := true
       | _ ->
           let m = !best_m in
           large_kind := 2;
           large_tgt := m;
           Metrics.incr m_open_large;
-          fired_rev := Opened_large { site = m; dual_sum = fb.(2) } :: !fired_rev;
           finished := true)
     end
   done;
@@ -508,8 +486,6 @@ let step t (r : Request.t) =
   t.p_dual_sum.(t.n_past) <- fb.(2);
   t.p_cap4.(t.n_past) <- cap4;
   t.n_past <- t.n_past + 1;
-  t.trace_rev <- List.rev !fired_rev :: t.trace_rev;
-  t.n_requests <- t.n_requests + 1;
   Metrics.incr m_requests;
   service
 
@@ -529,8 +505,6 @@ let dual_records t =
   done;
   !acc
 
-let trace t = List.rev t.trace_rev
-
 let dual_objective t =
   (* Newest-first, like the cons-list fold it replaces. *)
   let acc = ref 0.0 in
@@ -545,11 +519,10 @@ let store t = t.store
 
 (* A segment's payload: the store (whole in a base, only its new
    facilities and services in a delta), the history rows from the mark
-   on with their frozen duals and current bid caps, their trace entries,
-   the maintained bid caches, and the rows below the mark whose caps
-   [note_facility_opened] lowered since the previous segment. A base is
-   the same payload with the mark at row 0: the delta against the empty
-   state. Neither the caches nor the lowered caps are recomputed on
+   on with their frozen duals and current bid caps, the maintained bid
+   caches, and the rows below the mark whose caps [note_facility_opened]
+   lowered since the previous segment. A base is the same payload with
+   the mark at row 0: the delta against the empty state. Neither the caches nor the lowered caps are recomputed on
    restore. The caches were produced by a particular interleaving of
    additions and cap adjustments whose float rounding a fresh summation
    would not reproduce; a lowered cap recomputed as min(dual, distance to
@@ -558,52 +531,9 @@ let store t = t.store
    exact values, so both travel verbatim. Scratch buffers and the pure
    cost tables (f3/f4) are rebuilt by [create]. *)
 
-let snapshot_tag = "omflp.snap.pd-omflp.v3"
+let snapshot_tag = "omflp.snap.pd-omflp.v4"
 
-let w_fired b = function
-  | Connected_small { commodity; facility; dual } ->
-      Snapshot_codec.w_int b 0;
-      Snapshot_codec.w_int b commodity;
-      Snapshot_codec.w_int b facility;
-      Snapshot_codec.w_float b dual
-  | Opened_small { commodity; site; dual } ->
-      Snapshot_codec.w_int b 1;
-      Snapshot_codec.w_int b commodity;
-      Snapshot_codec.w_int b site;
-      Snapshot_codec.w_float b dual
-  | Connected_large { facility; dual_sum } ->
-      Snapshot_codec.w_int b 2;
-      Snapshot_codec.w_int b facility;
-      Snapshot_codec.w_float b dual_sum
-  | Opened_large { site; dual_sum } ->
-      Snapshot_codec.w_int b 3;
-      Snapshot_codec.w_int b site;
-      Snapshot_codec.w_float b dual_sum
-
-let r_fired r =
-  match Snapshot_codec.r_int r with
-  | 0 ->
-      let commodity = Snapshot_codec.r_int r in
-      let facility = Snapshot_codec.r_int r in
-      let dual = Snapshot_codec.r_float r in
-      Connected_small { commodity; facility; dual }
-  | 1 ->
-      let commodity = Snapshot_codec.r_int r in
-      let site = Snapshot_codec.r_int r in
-      let dual = Snapshot_codec.r_float r in
-      Opened_small { commodity; site; dual }
-  | 2 ->
-      let facility = Snapshot_codec.r_int r in
-      let dual_sum = Snapshot_codec.r_float r in
-      Connected_large { facility; dual_sum }
-  | 3 ->
-      let site = Snapshot_codec.r_int r in
-      let dual_sum = Snapshot_codec.r_float r in
-      Opened_large { site; dual_sum }
-  | k -> Printf.ksprintf failwith "Snapshot_codec: bad fired tag %d" k
-
-(* Rows [from, n_past), their trace entries (the newest [k] of
-   [trace_rev], newest first), and the caches. *)
+(* Rows [from, n_past) and the caches. *)
 let write_rows b t ~from =
   let k = t.n_past - from in
   Snapshot_codec.w_int b k;
@@ -617,15 +547,6 @@ let write_rows b t ~from =
   Snapshot_codec.w_float_sub b t.p_cap4 from k;
   Snapshot_codec.w_float_sub b t.p_duals (from * t.s) (k * t.s);
   Snapshot_codec.w_float_sub b t.p_caps (from * t.s) (k * t.s);
-  Snapshot_codec.w_int b k;
-  let rec trace fired_rev i =
-    match fired_rev with
-    | fired :: older when i > 0 ->
-        Snapshot_codec.w_list w_fired b fired;
-        trace older (i - 1)
-    | _ -> ()
-  in
-  trace t.trace_rev k;
   Snapshot_codec.w_float_array b t.b3_cache;
   Snapshot_codec.w_float_array b t.b4_cache
 
@@ -647,7 +568,7 @@ let write_delta b t =
 
 let snapshot t =
   let seg =
-    Snapshot_codec.next t.stream ~tag:snapshot_tag ~count:t.n_requests
+    Snapshot_codec.next t.stream ~tag:snapshot_tag ~count:t.n_past
       (fun kind b ->
         match kind with
         | Snapshot_codec.Base -> write b t
@@ -690,12 +611,7 @@ let read_rows t r =
   floats t.p_cap4 from k;
   floats t.p_duals (from * t.s) (k * t.s);
   floats t.p_caps (from * t.s) (k * t.s);
-  let fired = Snapshot_codec.r_list (Snapshot_codec.r_list r_fired) r in
-  if List.length fired <> k then
-    failwith "Pd_omflp.restore: trace does not match the history";
-  t.trace_rev <- fired @ t.trace_rev;
   t.n_past <- from + k;
-  t.n_requests <- t.n_past;
   floats t.b3_cache 0 (Array.length t.b3_cache);
   floats t.b4_cache 0 (Array.length t.b4_cache);
   ignore
@@ -718,18 +634,7 @@ let read_delta t r =
   Facility_store.read_new t.store r;
   read_rows t r
 
-(* Blobs of the v2 format are refused by the codec; one of the recomputing
-   mode (v2 mode byte [false], no bid caches) is named as such. *)
-let refuse_retired blob =
-  match Snapshot_codec.legacy_v2 ~tag:"omflp.snap.pd-omflp.v2" blob with
-  | Some r when not (Snapshot_codec.r_bool r) ->
-      failwith
-        "Pd_omflp.restore: snapshot is from the retired recomputing mode (no \
-         bid caches)"
-  | _ -> ()
-
 let restore env blob =
-  refuse_retired blob;
   Snapshot_codec.decode ~tag:snapshot_tag ~delta:read_delta (read env) blob
 
 let cache_drift t =

@@ -18,7 +18,13 @@
     closed form. The constraint-(3)/(4) bid sums are maintained across
     arrivals — O(|s_r| · |M|) per recorded request plus O(affected · |M|)
     per facility opening — instead of being recomputed from the whole
-    history on every arrival. *)
+    history on every arrival.
+
+    The state is what the algorithm decides from: the facilities and
+    services (the store), each past request's frozen duals [a_re] and bid
+    caps ({!dual_records}), and the bid caches. Which constraint fired
+    is not kept; the [pd.event.*] counters of [lib/obs] count the
+    firings. *)
 
 type t
 
@@ -34,14 +40,13 @@ val run_so_far : t -> Run.t
 (** {1 Snapshot / restore}
 
     See {!Algo_intf.ALGO}: byte-identical continuation, one segment per
-    [snapshot]. A delta segment holds the store's new facilities and
-    services, the new history rows and trace entries, the fixed-size bid
-    caches, and the past rows whose bid caps a facility opening lowered
-    since the previous segment (recorded as they change, never
-    recomputed), so its size does not grow with the run. [restore]
-    raises [Failure] on a blob of the retired v2 format, naming the
-    retired recomputing mode (v2 mode byte [false], no caches) when the
-    blob is one of it. *)
+    [snapshot], tag [omflp.snap.pd-omflp.v4]. A delta segment holds the
+    store's new facilities and services, the new history rows, the
+    fixed-size bid caches, and the past rows whose bid caps a facility
+    opening lowered since the previous segment (recorded as they change,
+    never recomputed), so its size does not grow with the run. [restore]
+    raises [Failure] on any other blob, naming what it found: a retired
+    v2 snapshot, or another tag such as [omflp.snap.pd-omflp.v3]. *)
 
 val snapshot : t -> string
 
@@ -56,11 +61,6 @@ val write : Omflp_prelude.Snapshot_codec.writer -> t -> unit
 val read :
   Omflp_instance.Problem_env.t -> Omflp_prelude.Snapshot_codec.reader -> t
 
-(** [refuse_retired blob] raises [restore]'s [Failure] when [blob] is a
-    PD-OMFLP blob of the retired recomputing mode, and returns
-    otherwise. *)
-val refuse_retired : string -> unit
-
 (** {1 Introspection (analysis and tests)} *)
 
 type dual_record = {
@@ -73,23 +73,6 @@ type dual_record = {
 (** [dual_records t] returns one record per processed request, in arrival
     order. *)
 val dual_records : t -> dual_record list
-
-(** Which constraint of Algorithm 1 fired, in firing order, while a
-    request was processed. *)
-type fired =
-  | Connected_small of { commodity : int; facility : int; dual : float }
-      (** constraint (1): connected to an existing facility *)
-  | Opened_small of { commodity : int; site : int; dual : float }
-      (** constraint (3): tentative small facility, later confirmed *)
-  | Connected_large of { facility : int; dual_sum : float }
-      (** constraint (2): whole request to an existing large facility *)
-  | Opened_large of { site : int; dual_sum : float }
-      (** constraint (4): new large facility, tentatives discarded *)
-
-(** [trace t] is the per-request event log, in arrival order. Events of a
-    request that ended in constraint (2)/(4) include the discarded
-    tentative openings — they reflect the process, not the outcome. *)
-val trace : t -> fired list list
 
 (** [dual_objective t] is [Σ_r Σ_e a_re] — by Corollary 8 at least a third
     of the algorithm's total cost. *)

@@ -1,4 +1,4 @@
-(** Process-wide metrics registry: monotonic counters, wall-clock timers,
+(** Process-wide metrics registry: monotonic counters, elapsed-time timers,
     and log-scale histograms.
 
     Designed to stay enabled in hot paths: instruments are registered once
@@ -49,16 +49,18 @@ val value : counter -> int
 
 (** {1 Timers}
 
-    A timer accumulates wall-clock spans (seconds) and the number of
+    A timer accumulates elapsed-time spans (seconds) and the number of
     recorded spans. *)
 
 type timer
 
 val timer : string -> timer
 
-(** [now ()] is the current wall clock in seconds (monotonic enough for
-    span measurement; [Unix.gettimeofday]). Always live, so callers can
-    bracket a span and decide later whether to record it. *)
+(** [now ()] is [CLOCK_MONOTONIC] in seconds (bechamel's
+    [Monotonic_clock]): it never goes back, also when the wall clock is
+    stepped, and only differences between two readings mean anything.
+    Always live, so callers can bracket a span and decide later whether
+    to record it. *)
 val now : unit -> float
 
 (** [record_span t seconds] adds one span when metrics are enabled. *)

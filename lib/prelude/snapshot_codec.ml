@@ -447,18 +447,6 @@ let walk ?tag s f =
 let scan s = walk s ignore
 
 let decode ~tag ?delta read chain =
-  if String.starts_with ~prefix:v2_magic chain then begin
-    let t0 = String.length v2_magic in
-    let t =
-      match String.index_from_opt chain t0 '\n' with
-      | Some i -> String.sub chain t0 (i - t0)
-      | None -> "?"
-    in
-    fail
-      "Snapshot_codec.decode: %S is a snapshot of the retired v2 whole-state \
-       format; this build reads v3 segment chains (%S)"
-      t tag
-  end;
   let state = ref None in
   let apply h =
     let r = { buf = chain; limit = h.h_stop; pos = h.h_payload } in
@@ -489,13 +477,3 @@ let decode ~tag ?delta read chain =
         "Snapshot_codec.decode: blob is not a %S snapshot chain (%s at byte \
          %d)"
         tag m sc.valid
-
-let legacy_v2 ~tag blob =
-  let header = v2_magic ^ tag ^ "\n" in
-  let hlen = String.length header and len = String.length blob in
-  if len < hlen + digest_len || not (String.starts_with ~prefix:header blob)
-  then None
-  else
-    let body = len - digest_len in
-    if String.sub blob body digest_len <> Digest.substring blob 0 body then None
-    else Some { buf = blob; limit = body; pos = hlen }

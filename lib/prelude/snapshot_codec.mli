@@ -140,12 +140,7 @@ val scan : string -> scan
     the state so far; the result is the state the last segment leaves.
     Each payload must be consumed exactly. Without [delta], a delta
     segment is refused. Raises [Failure] with a message naming [tag] on
-    a foreign, retired-v2, truncated or damaged chain. *)
+    a truncated or damaged chain, and also naming what was found on a
+    chain of another tag or a retired v2 blob. *)
 val decode :
   tag:string -> ?delta:('a -> reader -> unit) -> (reader -> 'a) -> string -> 'a
-
-(** [legacy_v2 ~tag blob] is a reader over the payload of [blob] when it
-    is an intact blob of the retired v2 format ["omflp.snap2" '\n' tag
-    '\n' payload md5] with this [tag], [None] otherwise — for restore to
-    name what a retired blob holds. *)
-val legacy_v2 : tag:string -> string -> reader option

@@ -421,7 +421,7 @@ let serve_loop t =
     | [], true -> ()
     | _, stopping ->
       let rest =
-        if !rest_until = 0.0 then 0.0 else !rest_until -. Unix.gettimeofday ()
+        if !rest_until = 0.0 then 0.0 else !rest_until -. Metrics.now ()
       in
       if rest <= 0.0 then rest_until := 0.0;
       let listening = (not stopping) && rest <= 0.0 in
@@ -439,7 +439,7 @@ let serve_loop t =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | r, w, _ ->
           if listening && List.mem t.lfd r && not (accept_one t conns) then
-            rest_until := Unix.gettimeofday () +. accept_rest_s;
+            rest_until := Metrics.now () +. accept_rest_s;
           conns := List.filter (serve_conn t rbuf r w) !conns);
       turn ()
   in

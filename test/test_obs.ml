@@ -1,7 +1,7 @@
 (* lib/obs unit tests (counters / timers / histograms / trace sink /
-   report) plus the instrumentation parity checks of the acceptance
-   criteria: with metrics enabled, a seeded PD-OMFLP run's counters must
-   exactly match its event trace, and its bid caches must stay exact
+   report) plus the instrumentation parity checks: with metrics enabled,
+   a seeded PD-OMFLP run's event counters must reconcile with its
+   facilities, services and duals, and its bid caches must stay exact
    while metrics are on.
 
    The registry is process-global, so every test that reads counter
@@ -221,6 +221,22 @@ let prop_shards_equal_serial =
           let parallel = Metrics.value c in
           serial = parallel && serial = List.fold_left ( + ) 0 ks))
 
+(* [now] reads CLOCK_MONOTONIC: readings never decrease, and a sleep
+   advances it by at least the time slept. *)
+let test_now_monotonic () =
+  let prev = ref (Metrics.now ()) in
+  for _ = 1 to 10_000 do
+    let x = Metrics.now () in
+    if x < !prev then Alcotest.failf "now went back: %.9f after %.9f" x !prev;
+    prev := x
+  done;
+  let t0 = Metrics.now () in
+  Unix.sleepf 0.01;
+  let slept = Metrics.now () -. t0 in
+  check_bool
+    (Printf.sprintf "advanced %.6f s across a 10 ms sleep" slept)
+    true (slept >= 0.01)
+
 (* ---------- trace sink ---------- *)
 
 let test_trace_sink_json_lines () =
@@ -368,37 +384,76 @@ let clustered_instance ~seed ~n_requests =
     ~cost:(fun ~n_commodities ~n_sites ->
       Omflp_commodity.Cost_function.power_law ~n_commodities ~n_sites ~x:1.0)
 
+(* The event counters reconcile with the state, request by request: a
+   request served per commodity fired one small event per commodity,
+   an opening where its facility is new and a connection otherwise; a
+   request served whole by one facility ended in the large event that
+   facility's age names, after fewer small events than it demands (their
+   tentative openings are discarded). A connection's dual reached its
+   distance to the facility it connects to. *)
 let test_pd_counters_match_trace () =
   let inst = clustered_instance ~seed:0xbe9c4 ~n_requests:40 in
+  let metric = inst.Instance.metric in
+  let value name = Metrics.value (Metrics.counter ("pd." ^ name)) in
+  let events () =
+    ( value "event.connect_small",
+      value "event.open_small",
+      value "event.connect_large",
+      value "event.open_large" )
+  in
   with_metrics (fun () ->
       let t = Pd_omflp.create (Instance.env inst) in
-      Array.iter (fun r -> ignore (Pd_omflp.step t r)) inst.Instance.requests;
-      let trace = List.concat (Pd_omflp.trace t) in
-      let count pred = List.length (List.filter pred trace) in
-      check_int "connect_small = trace"
-        (count (function Pd_omflp.Connected_small _ -> true | _ -> false))
-        (Metrics.value (Metrics.counter "pd.event.connect_small"));
-      check_int "open_small = trace"
-        (count (function Pd_omflp.Opened_small _ -> true | _ -> false))
-        (Metrics.value (Metrics.counter "pd.event.open_small"));
-      check_int "connect_large = trace"
-        (count (function Pd_omflp.Connected_large _ -> true | _ -> false))
-        (Metrics.value (Metrics.counter "pd.event.connect_large"));
-      check_int "open_large = trace"
-        (count (function Pd_omflp.Opened_large _ -> true | _ -> false))
-        (Metrics.value (Metrics.counter "pd.event.open_large"));
+      let store = Pd_omflp.store t in
+      Array.iteri
+        (fun j (r : Request.t) ->
+          let cs0, os0, cl0, ol0 = events () in
+          let svc = Pd_omflp.step t r in
+          let cs1, os1, cl1, ol1 = events () in
+          let cs, os, cl, ol = (cs1 - cs0, os1 - os0, cl1 - cl0, ol1 - ol0) in
+          let fac id = Facility_store.facility store id in
+          let k = Omflp_commodity.Cset.cardinal r.demand in
+          let duals = (List.nth (Pd_omflp.dual_records t) j).duals in
+          let at = Printf.sprintf "request %d: %s" j in
+          match svc with
+          | Service.Per_commodity pairs ->
+              let fresh =
+                List.length
+                  (List.filter (fun (_, id) -> (fac id).opened_at = j) pairs)
+              in
+              check_int (at "open_small = new facilities") fresh os;
+              check_int (at "connect_small = old facilities")
+                (List.length pairs - fresh) cs;
+              check_int (at "no large event") 0 (cl + ol);
+              List.iter
+                (fun (e, id) ->
+                  let f = fac id in
+                  if f.opened_at < j then
+                    check_float 1e-6 (at "connection dual = distance")
+                      (Omflp_metric.Finite_metric.dist metric f.site r.site)
+                      duals.(e))
+                pairs
+          | Service.To_single id ->
+              let fresh = (fac id).opened_at = j in
+              check_int (at "open_large") (Bool.to_int fresh) ol;
+              check_int (at "connect_large") (Bool.to_int (not fresh)) cl;
+              check_bool (at "small events before the large one") true
+                (cs + os < k))
+        inst.Instance.requests;
+      let cs, os, cl, ol = events () in
       (* Every event-loop iteration fires exactly one event. *)
-      check_int "loop_iters = total events" (List.length trace)
-        (Metrics.value (Metrics.counter "pd.loop_iters"));
+      check_int "loop_iters = total events" (cs + os + cl + ol)
+        (value "loop_iters");
       check_int "requests counted"
         (Array.length inst.Instance.requests)
-        (Metrics.value (Metrics.counter "pd.requests"));
-      (* Openings counted = confirmed facilities (tentative small
-         facilities discarded by a large opening are trace-only). *)
+        (value "requests");
       let run = Pd_omflp.run_so_far t in
+      check_int "open_large = large facilities" (Run.n_large run) ol;
+      (* Openings counted = confirmed facilities (tentative small
+         facilities discarded by a large opening are counted as events
+         only). *)
       check_int "facilities_opened = store"
         (List.length run.Run.facilities)
-        (Metrics.value (Metrics.counter "pd.facilities_opened")))
+        (value "facilities_opened"))
 
 let test_cache_exact_under_metrics () =
   (* Bid caches stay exact while the instrumentation layer is enabled
@@ -446,6 +501,7 @@ let () =
           Alcotest.test_case "timer" `Quick test_timer;
           Alcotest.test_case "histogram" `Quick test_histogram;
           Alcotest.test_case "snapshot sorted" `Quick test_snapshot_sorted;
+          Alcotest.test_case "now is monotonic" `Quick test_now_monotonic;
         ] );
       ( "shards",
         [

@@ -279,60 +279,104 @@ let prop_competitive_against_exact_opt =
           Run.total_cost (Pd_omflp.run_so_far t) <= bound +. 1e-6
       | None -> true)
 
+(* Event counts are read from the [pd.event.*] counters. The registry is
+   process-global: reset it first and leave metrics disabled. *)
+let with_metrics f =
+  Omflp_obs.Metrics.reset ();
+  Omflp_obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Omflp_obs.Metrics.set_enabled false) f
+
+let pd_counter name =
+  Omflp_obs.Metrics.value (Omflp_obs.Metrics.counter ("pd." ^ name))
+
 let test_trace_theorem2 () =
   (* |S| = 16, all commodities requested as singletons: the first sqrt|S|
      requests open small facilities, the next one triggers the large
      facility (its bid threshold is fully paid by past duals), everything
-     afterwards connects without opening. *)
+     afterwards connects without opening. A singleton request fires one
+     constraint and keeps what it opens, so the store shows every
+     opening. *)
   let n_commodities = 16 in
   let rng = Splitmix.of_int 13 in
   let inst =
     Generators.single_point_adversary rng ~n_commodities
       ~cost:Cost_function.theorem2 ~n_requested:n_commodities
   in
-  let t = run_pd inst in
-  let trace = Pd_omflp.trace t in
-  check_int "one log per request" n_commodities (List.length trace);
-  let count pred =
-    List.fold_left
-      (fun acc events -> acc + List.length (List.filter pred events))
-      0 trace
-  in
-  check_int "sqrt|S| small openings" 4
-    (count (function Pd_omflp.Opened_small _ -> true | _ -> false));
-  check_int "exactly one large opening" 1
-    (count (function Pd_omflp.Opened_large _ -> true | _ -> false));
-  (* After the large facility exists, nothing opens anymore. *)
-  let after_large = ref false in
-  List.iter
-    (fun events ->
+  with_metrics (fun () ->
+      let t = run_pd inst in
+      check_int "one dual record per request" n_commodities
+        (List.length (Pd_omflp.dual_records t));
+      check_int "one loop iteration per request" n_commodities
+        (pd_counter "loop_iters");
+      check_int "sqrt|S| small openings" 4 (pd_counter "event.open_small");
+      check_int "exactly one large opening" 1 (pd_counter "event.open_large");
+      let store = Pd_omflp.store t in
+      let facs = Facility_store.facilities store in
+      let small, large =
+        List.partition
+          (fun (f : Facility.t) ->
+            match f.kind with Facility.Small _ -> true | _ -> false)
+          facs
+      in
+      check_int "sqrt|S| small facilities" 4 (List.length small);
+      let large =
+        match large with
+        | [ ({ Facility.kind = Facility.Large; _ } as f) ] -> f
+        | _ -> Alcotest.fail "expected exactly one large facility"
+      in
+      (* After the large facility exists, nothing opens anymore: every
+         later request connects to an older facility at distance 0, so
+         it raises no dual. *)
       List.iter
-        (fun ev ->
-          match ev with
-          | Pd_omflp.Opened_large _ -> after_large := true
-          | Pd_omflp.Opened_small _ ->
-              if !after_large then Alcotest.fail "opened small after large"
-          | Pd_omflp.Connected_small _ | Pd_omflp.Connected_large _ -> ())
-        events)
-    trace
+        (fun (f : Facility.t) ->
+          if f.opened_at >= large.opened_at then
+            Alcotest.fail "opened small after large")
+        small;
+      List.iteri
+        (fun j (svc, (d : Pd_omflp.dual_record)) ->
+          if j > large.opened_at then begin
+            List.iter
+              (fun id ->
+                if (Facility_store.facility store id).opened_at >= j then
+                  Alcotest.failf "request %d opened a facility" j)
+              (Service.facility_ids svc);
+            check_float 0.0 "no dual after the large opening" 0.0 d.dual_sum
+          end)
+        (List.combine (Facility_store.services store) (Pd_omflp.dual_records t)))
 
 let test_trace_connection_events () =
-  (* Second identical request connects: its trace is a single
-     Connected_small with dual = 0 (the facility is at distance 0). *)
+  (* Second identical request connects: the first opens {0} and pays f
+     through its dual, the second fires one constraint-(1) connection to
+     facility 0 with dual 0 (the facility is at distance 0). *)
   let metric = Finite_metric.single_point () in
   let cost = Cost_function.linear ~n_commodities:2 ~n_sites:1 ~per_commodity:3.0 in
   let r = Request.make ~site:0 ~demand:(Cset.singleton ~n_commodities:2 0) in
   let inst = Instance.make ~name:"two" ~metric ~cost ~requests:[| r; r |] in
-  let t = run_pd inst in
-  match Pd_omflp.trace t with
-  | [ [ Pd_omflp.Opened_small { dual; _ } ]; [ second ] ] ->
-      check_float 1e-9 "first pays f" 3.0 dual;
-      (match second with
-      | Pd_omflp.Connected_small { dual; facility; _ } ->
-          check_float 1e-9 "free connection" 0.0 dual;
-          check_int "to facility 0" 0 facility
-      | _ -> Alcotest.fail "expected a connection event")
-  | _ -> Alcotest.fail "unexpected trace shape"
+  with_metrics (fun () ->
+      let t = Pd_omflp.create (Instance.env inst) in
+      ignore (Pd_omflp.step t r);
+      check_int "first: one small opening" 1 (pd_counter "event.open_small");
+      check_int "first: one event" 1 (pd_counter "loop_iters");
+      ignore (Pd_omflp.step t r);
+      check_int "second: one connection" 1 (pd_counter "event.connect_small");
+      check_int "second: one event" 2 (pd_counter "loop_iters");
+      check_int "second: nothing opened" 1 (pd_counter "event.open_small");
+      check_int "no large event" 0
+        (pd_counter "event.connect_large" + pd_counter "event.open_large");
+      let store = Pd_omflp.store t in
+      (match Facility_store.facilities store with
+      | [ { Facility.id = 0; kind = Facility.Small 0; opened_at = 0; _ } ] -> ()
+      | _ -> Alcotest.fail "expected one small facility {0} opened by request 0");
+      (match Facility_store.services store with
+      | [ Service.Per_commodity [ (0, 0) ]; Service.Per_commodity [ (0, 0) ] ]
+        ->
+          ()
+      | _ -> Alcotest.fail "expected both requests served by facility 0");
+      match Pd_omflp.dual_records t with
+      | [ first; second ] ->
+          check_float 1e-9 "first pays f" 3.0 first.duals.(0);
+          check_float 1e-9 "free connection" 0.0 second.duals.(0)
+      | _ -> Alcotest.fail "expected two dual records")
 
 let test_gamma_value () =
   (* gamma = 1 / (5 sqrt|S| H_n). *)

@@ -203,9 +203,17 @@ let test_snapshot_rejects_foreign_blob () =
 
 (* PD-OMFLP blobs from before the bid caches became its only mode carry
    mode byte [false] and no caches, so they cannot continue
-   byte-identically: restore must refuse them by name, also when nested
-   inside a HEAVY-AWARE blob. The committed legacy fixtures are those
-   blobs (same scenario and cut as the v2 fixtures). *)
+   byte-identically. They are v2 blobs (the HEAVY-AWARE one nests a PD
+   blob of that mode), so the codec's one header check refuses both,
+   naming the retired v2 format. The committed legacy fixtures are
+   those blobs (same scenario and cut as the v2 fixtures). *)
+(* The algorithms whose state holds a PD-OMFLP run, by restore. *)
+let pd_restores =
+  [
+    (Pd_omflp.name, fun env b -> ignore (Pd_omflp.restore env b));
+    (Heavy_aware.name, fun env b -> ignore (Heavy_aware.restore env b));
+  ]
+
 let test_legacy_recomputing_blobs_refused () =
   let inst, _ = scenario 0 in
   let env = Instance.env inst in
@@ -220,13 +228,11 @@ let test_legacy_recomputing_blobs_refused () =
       | () -> Alcotest.failf "%s: legacy recomputing blob restored" name
       | exception Failure msg ->
           check_bool
-            (Printf.sprintf "%s refusal %S names the retired mode" name msg)
+            (Printf.sprintf "%s refusal %S names the retired v2 format" name
+               msg)
             true
-            (contains ~sub:"retired recomputing mode" msg))
-    [
-      (Pd_omflp.name, fun env b -> ignore (Pd_omflp.restore env b));
-      (Heavy_aware.name, fun env b -> ignore (Heavy_aware.restore env b));
-    ]
+            (contains ~sub:"retired v2" msg))
+    pd_restores
 
 (* ---------- wire format ---------- *)
 
@@ -1646,6 +1652,32 @@ let test_cross_family_restore_refused () =
     | _ -> false
     | exception Failure msg -> contains ~sub:"family mismatch" msg)
 
+(* PD-OMFLP's v3 segments carried its event log; the tag moved to .v4,
+   and so did HEAVY-AWARE's, which embeds PD's state. The last v3
+   fixtures of both are kept under snapshot_legacy/v3/: restore refuses
+   them naming the old tag, and a checkpoint whose snapshot.bin holds
+   the old PD chain fails to resume by name instead of resuming. *)
+let test_retired_v3_blobs_refused () =
+  let inst, _ = scenario 0 in
+  let env = Instance.env inst in
+  let legacy name =
+    read_file (fixture_path ~dir:(Filename.concat "snapshot_legacy" "v3") name)
+  in
+  let old_tag name = "omflp.snap." ^ String.lowercase_ascii name ^ ".v3" in
+  List.iter
+    (fun (name, restore) ->
+      expect_failure ~substring:(old_tag name) (fun () ->
+          restore env (legacy name)))
+    pd_restores;
+  with_temp_dir @@ fun dir ->
+  (* The fixture covers the first 5 requests of this scenario, which the
+     checkpoint's WAL and decision log hold too. *)
+  ignore (crash_after ~dir ~snapshot_every:5 5);
+  write_file (Filename.concat dir "snapshot.bin") (legacy Pd_omflp.name);
+  expect_failure ~substring:(old_tag Pd_omflp.name) (fun () ->
+      Session.start ~algo:algo_pd ~seed:0 ~instance_md5:md5
+        ~checkpoint:(Some (dir, 5)) ~resume:true env)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1668,6 +1700,8 @@ let () =
             test_session_family_mismatch;
           Alcotest.test_case "cross-family restore refused" `Quick
             test_cross_family_restore_refused;
+          Alcotest.test_case "retired v3 PD blobs refused by name" `Quick
+            test_retired_v3_blobs_refused;
         ] );
       ( "wire",
         [

@@ -5,9 +5,15 @@
    family (index 0 for OMFLP, 30 for non-metric, 33 for leasing) —
    test_serve pins current snapshots to these bytes and proves the
    committed bytes still restore and continue into the golden run
-   digests. Regenerate ONLY on a deliberate wire-format change, together
-   with a tag bump in the algorithm's codec, and move the replaced
-   fixtures under test/golden/snapshot_legacy/.
+   digests. The directory is named after the v3 segment container; each
+   algorithm's payload is versioned by its own tag, which bumps inside
+   that container when the payload changes (PD-OMFLP and HEAVY-AWARE
+   are at .v4, the others at .v3). Regenerate ONLY on a deliberate
+   wire-format change, together with a tag bump in the algorithm's
+   codec, and move the replaced fixtures under
+   test/golden/snapshot_legacy/ (the .v3 PD-OMFLP and HEAVY-AWARE ones
+   are in snapshot_legacy/v3/); every other fixture must come out
+   byte-identical.
 
    Usage: dune exec tools/gen_snapshot_fixtures.exe *)
 
