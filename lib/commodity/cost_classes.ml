@@ -10,11 +10,13 @@ let round_down_pow2 v =
   if v < 0.0 then invalid_arg "Cost_classes.round_down_pow2: negative cost";
   if v = 0.0 then 0.0 else Numerics.floor_pow2 v
 
-let group_sites costs =
-  (* costs.(m) is the rounded cost at site m; group sites by value. *)
+(* Rounding happens inside the grouping, so building the classes
+   allocates no rounded copy of [costs]. *)
+let of_costs costs =
   let tbl = Hashtbl.create 16 in
   Array.iteri
     (fun m c ->
+      let c = round_down_pow2 c in
       let prev = Option.value (Hashtbl.find_opt tbl c) ~default:[] in
       Hashtbl.replace tbl c (m :: prev))
     costs;
@@ -32,14 +34,11 @@ let build cost =
   let n_commodities = Cost_function.n_commodities cost in
   let singles =
     Array.init n_commodities (fun e ->
-        group_sites
-          (Array.init n_sites (fun m ->
-               round_down_pow2 (Cost_function.singleton_cost cost m e))))
+        of_costs
+          (Array.init n_sites (fun m -> Cost_function.singleton_cost cost m e)))
   in
   let all =
-    group_sites
-      (Array.init n_sites (fun m ->
-           round_down_pow2 (Cost_function.full_cost cost m)))
+    of_costs (Array.init n_sites (fun m -> Cost_function.full_cost cost m))
   in
   { singles; all }
 
@@ -47,24 +46,8 @@ let classes t = function Single e -> t.singles.(e) | All -> t.all
 
 let n_classes t key = Array.length (classes t key)
 
-let min_dist_in_class cls ~dist_to =
-  Array.fold_left (fun acc m -> Float.min acc (dist_to m)) infinity cls.sites
-
-let cumulative_min_dist t key ~dist_to ~upto =
-  let cs = classes t key in
-  if upto < 0 || upto >= Array.length cs then
-    invalid_arg "Cost_classes.cumulative_min_dist: class index out of range";
-  let best = ref infinity in
-  for j = 0 to upto do
-    best := Float.min !best (min_dist_in_class cs.(j) ~dist_to)
-  done;
-  !best
-
-let nearest_site_in_class t key ~dist_to ~cls_idx =
-  let cs = classes t key in
-  if cls_idx < 0 || cls_idx >= Array.length cs then
-    invalid_arg "Cost_classes.nearest_site_in_class: class index out of range";
-  let best_site = ref cs.(cls_idx).sites.(0) in
+let nearest cls ~dist_to =
+  let best_site = ref cls.sites.(0) in
   let best_dist = ref (dist_to !best_site) in
   Array.iter
     (fun m ->
@@ -73,5 +56,26 @@ let nearest_site_in_class t key ~dist_to ~cls_idx =
         best_dist := d;
         best_site := m
       end)
-    cs.(cls_idx).sites;
+    cls.sites;
   (!best_site, !best_dist)
+
+let cumulative_min_dist t key ~dist_to ~upto =
+  let cs = classes t key in
+  if upto < 0 || upto >= Array.length cs then
+    invalid_arg "Cost_classes.cumulative_min_dist: class index out of range";
+  let best = ref infinity in
+  for j = 0 to upto do
+    best := Float.min !best (snd (nearest cs.(j) ~dist_to))
+  done;
+  !best
+
+let build_estimate cs cum =
+  let best = ref infinity in
+  Array.iteri (fun i c -> best := Float.min !best (c.cost +. cum.(i))) cs;
+  !best
+
+let nearest_site_in_class t key ~dist_to ~cls_idx =
+  let cs = classes t key in
+  if cls_idx < 0 || cls_idx >= Array.length cs then
+    invalid_arg "Cost_classes.nearest_site_in_class: class index out of range";
+  nearest cs.(cls_idx) ~dist_to

@@ -4,7 +4,9 @@
     of two and groups the sites by the rounded value; the resulting ordered
     classes [C^σ_1 < C^σ_2 < ...] drive its per-class opening
     probabilities. Only the configurations the algorithm ever opens are
-    materialised: the singletons [{e}] and the full set [S]. *)
+    materialised: the singletons [{e}] and the full set [S]. Meyerson's
+    single-commodity OFL builds its classes with {!of_costs} and searches
+    them with {!nearest} and {!build_estimate}. *)
 
 type key = Single of int  (** configuration [{e}] *) | All  (** configuration [S] *)
 
@@ -14,6 +16,11 @@ type cls = {
 }
 
 type t
+
+(** [of_costs costs] is the class array of one configuration whose cost
+    at site [m] is [costs.(m)], ordered as {!classes}; sites ascend
+    within a class. Raises [Invalid_argument] on a negative cost. *)
+val of_costs : float array -> cls array
 
 (** [build cost] precomputes the classes of every singleton configuration
     and of [S] over all sites of [cost]. Costs of exactly 0 are kept in a
@@ -33,8 +40,17 @@ val n_classes : t -> key -> int
     0-based class index; raises [Invalid_argument] when out of range. *)
 val cumulative_min_dist : t -> key -> dist_to:(int -> float) -> upto:int -> float
 
-(** [nearest_site_in_class t key ~dist_to ~cls_idx] is the (site, distance)
-    of the closest site belonging to class [cls_idx] exactly. *)
+(** [build_estimate cs cum] is [min_i (cs.(i).cost +. cum.(i))]: given the
+    cumulative-minimum distances [cum] of the classes [cs], the cheapest
+    build-and-connect estimate. *)
+val build_estimate : cls array -> float array -> float
+
+(** [nearest cls ~dist_to] is the (site, distance) of the closest site of
+    [cls]; on equal distances the lowest site wins. *)
+val nearest : cls -> dist_to:(int -> float) -> int * float
+
+(** [nearest_site_in_class t key ~dist_to ~cls_idx] is {!nearest} on
+    class [cls_idx]. *)
 val nearest_site_in_class :
   t -> key -> dist_to:(int -> float) -> cls_idx:int -> int * float
 

@@ -2,8 +2,7 @@ open Omflp_prelude
 open Omflp_commodity
 open Omflp_metric
 open Omflp_instance
-
-type heavy_past = { site : int; dual : float }
+open Omflp_ofl
 
 type t = {
   metric : Finite_metric.t;
@@ -15,7 +14,9 @@ type t = {
   store : Facility_store.t;  (** full-universe accounting *)
   fid_map : (int, int) Hashtbl.t;  (** inner facility id → outer id *)
   mutable inner_mirrored : int;
-  heavy_past : heavy_past list array;  (** per original commodity *)
+  heavy_past : Fotakis_pd.past list array;  (** per original commodity *)
+  heavy_costs : float array array;  (** [f^{e}_m] rows, heavy [e] only *)
+  bids : float array;  (** heavy-step scratch *)
   mutable n_requests : int;
 }
 
@@ -42,6 +43,13 @@ let create_with_heavy ~heavy env =
     fid_map = Hashtbl.create 64;
     inner_mirrored = 0;
     heavy_past = Array.make k [];
+    heavy_costs =
+      Array.init k (fun e ->
+          if Cset.mem heavy e then
+            Array.init (Finite_metric.size metric) (fun m ->
+                Cost_function.singleton_cost cost m e)
+          else [||]);
+    bids = Array.make (Finite_metric.size metric) 0.0;
     n_requests = 0;
   }
 
@@ -80,46 +88,6 @@ let mirror_inner t =
       end)
     (Facility_store.facilities (Pd_omflp.store t.inner))
 
-(* One Fotakis primal-dual step for a heavy commodity against the outer
-   store (only heavy small facilities ever offer it). *)
-let serve_heavy t ~site e =
-  let n_sites = Finite_metric.size t.metric in
-  let connect_at = Facility_store.dist_offering t.store ~commodity:e ~from:site in
-  let best_site = ref (-1) in
-  let best_open = ref infinity in
-  for m = 0 to n_sites - 1 do
-    let bids =
-      List.fold_left
-        (fun acc p ->
-          let cap =
-            Float.min p.dual
-              (Facility_store.dist_offering t.store ~commodity:e ~from:p.site)
-          in
-          acc +. Numerics.pos (cap -. Finite_metric.dist t.metric p.site m))
-        0.0 t.heavy_past.(e)
-    in
-    let open_at =
-      Finite_metric.dist t.metric site m
-      +. Numerics.pos (Cost_function.singleton_cost t.cost m e -. bids)
-    in
-    if open_at < !best_open then begin
-      best_open := open_at;
-      best_site := m
-    end
-  done;
-  let dual = Float.min connect_at !best_open in
-  if !best_open < connect_at then
-    ignore
-      (Facility_store.open_facility t.store ~site:!best_site
-         ~kind:(Facility.Small e)
-         ~cost:(Cost_function.singleton_cost t.cost !best_site e)
-         ~opened_at:t.n_requests);
-  t.heavy_past.(e) <- { site; dual } :: t.heavy_past.(e);
-  let fac, _ =
-    Option.get (Facility_store.nearest_offering t.store ~commodity:e ~from:site)
-  in
-  (e, fac.Facility.id)
-
 let step t (r : Request.t) =
   let light_demand = Cset.inter r.demand t.light in
   let heavy_demand = Cset.inter r.demand t.heavy in
@@ -151,9 +119,15 @@ let step t (r : Request.t) =
             None )
     end
   in
-  (* Heavy side: independent per-commodity primal-dual. *)
+  (* Heavy side: INDEP's per-commodity primal-dual against the outer
+     store (only heavy small facilities ever offer a heavy commodity). *)
   let heavy_pairs =
-    List.map (fun e -> serve_heavy t ~site:r.site e) (Cset.elements heavy_demand)
+    List.map
+      (fun e ->
+        Indep_baseline.serve_commodity t.store ~bids:t.bids
+          ~opening:t.heavy_costs.(e) ~past:t.heavy_past
+          ~opened_at:t.n_requests ~site:r.site e)
+      (Cset.elements heavy_demand)
   in
   let service =
     match (light_single, heavy_pairs) with
@@ -176,15 +150,6 @@ let store t = t.store
 
 let snapshot_tag = "omflp.snap.heavy-aware.v4"
 
-let w_heavy_past b (p : heavy_past) =
-  Snapshot_codec.w_int b p.site;
-  Snapshot_codec.w_float b p.dual
-
-let r_heavy_past r =
-  let site = Snapshot_codec.r_int r in
-  let dual = Snapshot_codec.r_float r in
-  { site; dual }
-
 let snapshot t =
   Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
       Cset.write b t.heavy;
@@ -200,7 +165,7 @@ let snapshot t =
           Snapshot_codec.w_int b v)
         b fid_pairs;
       Snapshot_codec.w_int b t.inner_mirrored;
-      Snapshot_codec.w_array (Snapshot_codec.w_list w_heavy_past) b
+      Snapshot_codec.w_array (Snapshot_codec.w_list Fotakis_pd.w_past) b
         t.heavy_past;
       Snapshot_codec.w_int b t.n_requests)
 
@@ -222,7 +187,7 @@ let restore env blob =
       in
       let z_inner_mirrored = Snapshot_codec.r_int r in
       let z_heavy_past =
-        Snapshot_codec.r_array (Snapshot_codec.r_list r_heavy_past) r
+        Snapshot_codec.r_array (Snapshot_codec.r_list Fotakis_pd.r_past) r
       in
       let z_n_requests = Snapshot_codec.r_int r in
       List.iter (fun (k, v) -> Hashtbl.replace t.fid_map k v) z_fid_map;

@@ -59,14 +59,15 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
       n_requests = 0;
     }
 
+  let singleton_costs t e =
+    Array.init (Finite_metric.size t.metric) (fun m ->
+        Cost_function.singleton_cost t.cost m e)
+
   let slot t e =
     match t.slots.(e) with
     | Some s -> s
     | None ->
-        let costs =
-          Array.init (Finite_metric.size t.metric) (fun m ->
-              Cost_function.singleton_cost t.cost m e)
-        in
+        let costs = singleton_costs t e in
         let s =
           {
             ofl = S.create ?seed:t.seed ~commodity:e t.metric ~opening_costs:costs;
@@ -149,10 +150,7 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
             t.slots.(e) <-
               Snapshot_codec.r_opt
                 (fun r ->
-                  let costs =
-                    Array.init (Finite_metric.size t.metric) (fun m ->
-                        Cost_function.singleton_cost t.cost m e)
-                  in
+                  let costs = singleton_costs t e in
                   let ofl = S.A.read_state t.metric ~opening_costs:costs r in
                   let mirrored = Snapshot_codec.r_int r in
                   { ofl; costs; mirrored })

@@ -58,14 +58,6 @@ let class_profile t key ~dist_to =
   done;
   (cs, cum, nearest)
 
-(* min_i (C_i + D_i): the cheapest build-and-connect estimate. *)
-let build_estimate cs cum =
-  let best = ref infinity in
-  Array.iteri
-    (fun i (c : Cost_classes.cls) -> best := Float.min !best (c.cost +. cum.(i)))
-    cs;
-  !best
-
 let step t (r : Request.t) =
   (* One row fetch replaces the per-site [dist] calls of every class
      scan below; row_r.(m) = d(r, m) exactly. *)
@@ -82,7 +74,7 @@ let step t (r : Request.t) =
         let cs, cum, _ = profiles.(i) in
         Float.min
           (Facility_store.dist_offering t.store ~commodity:e ~from:r.site)
-          (build_estimate cs cum))
+          (Cost_classes.build_estimate cs cum))
       es
   in
   let x_r = Array.fold_left ( +. ) 0.0 x_re in
@@ -92,7 +84,7 @@ let step t (r : Request.t) =
   let z_r =
     Float.min
       (Facility_store.dist_large t.store ~from:r.site)
-      (build_estimate all_cs all_cum)
+      (Cost_classes.build_estimate all_cs all_cum)
   in
   let estimate = Float.min x_r z_r in
   (* Coin flips: small facilities, per commodity and class. The share

@@ -1,3 +1,4 @@
+open Omflp_prelude
 open Omflp_metric
 open Omflp_obs
 
@@ -13,102 +14,37 @@ let m_facilities_opened = Metrics.counter "ofl.fotakis.facilities_opened"
 
 type past = { site : int; dual : float }
 
-type t = {
-  metric : Finite_metric.t;
-  opening_costs : float array;
-  mutable past : past list;  (** newest first *)
-  mutable facility_sites : int list;
-  (* dist_to_f.(m): distance from site m to the nearest open facility. *)
-  dist_to_f : float array;
-  mutable construction : float;
-  mutable assignment : float;
-}
-
-let create metric ~opening_costs =
+(* The dual a_r rises until connect (a_r = d(F, r)) or some site's
+   facility is fully paid: a_r = d(r,m) + (f_m - B(m))+, where a past
+   request bids its dual capped by its own d(F, ·) (it never pays more
+   than a reconnection would save). Each B(m) adds its terms newest
+   first. *)
+let event metric ~bids ~opening ~dist_to_served past r =
   let n = Finite_metric.size metric in
-  if Array.length opening_costs <> n then
-    invalid_arg "Fotakis_pd.create: opening_costs arity mismatch";
-  Array.iter
-    (fun c -> if c < 0.0 then invalid_arg "Fotakis_pd.create: negative cost")
-    opening_costs;
-  {
-    metric;
-    opening_costs;
-    past = [];
-    facility_sites = [];
-    dist_to_f = Array.make n infinity;
-    construction = 0.0;
-    assignment = 0.0;
-  }
-
-let open_facility t m =
-  Metrics.incr m_facilities_opened;
-  t.facility_sites <- m :: t.facility_sites;
-  t.construction <- t.construction +. t.opening_costs.(m);
-  for p = 0 to Array.length t.dist_to_f - 1 do
-    let d = Finite_metric.dist t.metric p m in
-    if d < t.dist_to_f.(p) then t.dist_to_f.(p) <- d
-  done
-
-(* Bid of a past request towards a facility at m: its dual is capped by
-   its current distance to the open facility set (it never pays more than
-   a reconnection would save). *)
-let past_bid t m (p : past) =
-  Float.max 0.0 (Float.min p.dual t.dist_to_f.(p.site) -. Finite_metric.dist t.metric p.site m)
-
-let step t site =
-  Metrics.incr m_steps;
-  let n = Finite_metric.size t.metric in
-  (* The dual a_r rises until connect (a_r = d(F, r)) or some site's
-     facility is fully paid: (a_r - d(m,r))+ + Σ past bids = f_m, i.e.
-     a_r = d(m,r) + f_m - B(m). Take the earliest event. *)
-  let connect_at = t.dist_to_f.(site) in
+  Array.fill bids 0 n 0.0;
+  List.iter
+    (fun p ->
+      let cap = Float.min p.dual (dist_to_served p.site) in
+      let row_p = Finite_metric.row metric p.site in
+      for m = 0 to n - 1 do
+        bids.(m) <- bids.(m) +. Numerics.pos (cap -. row_p.(m))
+      done)
+    past;
+  let row_r = Finite_metric.row metric r in
   let best_site = ref (-1) in
-  let best_open_at = ref infinity in
+  let best_open = ref infinity in
   for m = 0 to n - 1 do
-    let b = ref 0.0 in
-    List.iter
-      (fun p ->
-        Metrics.incr m_bid_evals;
-        b := !b +. past_bid t m p)
-      t.past;
-    (* Tight when the request's own bid is active: a_r reaches
-       d(m, r) + (f_m - B)+, keeping the assignment bounded by the dual. *)
-    let open_at =
-      Finite_metric.dist t.metric site m
-      +. Float.max 0.0 (t.opening_costs.(m) -. !b)
-    in
-    if open_at < !best_open_at then begin
-      best_open_at := open_at;
+    let open_at = row_r.(m) +. Numerics.pos (opening.(m) -. bids.(m)) in
+    if open_at < !best_open then begin
+      best_open := open_at;
       best_site := m
     end
   done;
-  let dual = Float.min connect_at !best_open_at in
-  let dist =
-    if !best_open_at < connect_at then begin
-      open_facility t !best_site;
-      Finite_metric.dist t.metric site !best_site
-    end
-    else connect_at
-  in
-  t.past <- { site; dual } :: t.past;
-  t.assignment <- t.assignment +. dist;
-  dist
+  let connect_at = dist_to_served r in
+  ( (if !best_open < connect_at then Some !best_site else None),
+    { site = r; dual = Float.min connect_at !best_open } )
 
-let snapshot t =
-  {
-    Ofl_types.facilities = List.rev t.facility_sites;
-    construction_cost = t.construction;
-    assignment_cost = t.assignment;
-  }
-
-let duals t = List.rev_map (fun p -> p.dual) t.past
-
-(* Persisted state: the frozen duals, the opening history, the distance
-   table, and the cost accumulators — all pure data, written inside the
-   enclosing algorithm's snapshot segment. *)
-
-module Sc = Omflp_prelude.Snapshot_codec
+module Sc = Snapshot_codec
 
 let w_past b (p : past) =
   Sc.w_int b p.site;
@@ -119,27 +55,51 @@ let r_past r =
   let dual = Sc.r_float r in
   { site; dual }
 
+type t = {
+  served : Ofl_types.served;
+  bids : float array;  (** per-step scratch *)
+  mutable past : past list;  (** newest first *)
+}
+
+let create metric ~opening_costs =
+  {
+    served = Ofl_types.served ~who:"Fotakis_pd" metric ~opening_costs;
+    bids = Array.make (Finite_metric.size metric) 0.0;
+    past = [];
+  }
+
+let step t site =
+  Metrics.incr m_steps;
+  let s = t.served in
+  Metrics.add m_bid_evals (Array.length t.bids * List.length t.past);
+  let opened, p =
+    event s.metric ~bids:t.bids ~opening:s.opening_costs
+      ~dist_to_served:(Array.get s.dist) t.past site
+  in
+  t.past <- p :: t.past;
+  let dist =
+    match opened with
+    | Some m ->
+        Metrics.incr m_facilities_opened;
+        Ofl_types.open_site s m;
+        Finite_metric.dist s.metric site m
+    | None -> s.dist.(site)
+  in
+  s.assignment <- s.assignment +. dist;
+  dist
+
+let snapshot t = Ofl_types.run t.served
+
+let duals t = List.rev_map (fun p -> p.dual) t.past
+
+(* Persisted state: the frozen duals, then the served set — all pure
+   data, written inside the enclosing algorithm's snapshot segment. *)
+
 let write_state b t =
   Sc.w_list w_past b t.past;
-  Sc.w_list Sc.w_int b t.facility_sites;
-  Sc.w_float_array b t.dist_to_f;
-  Sc.w_float b t.construction;
-  Sc.w_float b t.assignment
+  Ofl_types.write_served b t.served
 
 let read_state metric ~opening_costs r =
-  let z_past = Sc.r_list r_past r in
-  let z_facility_sites = Sc.r_list Sc.r_int r in
-  let z_dist_to_f = Sc.r_float_array r in
-  let z_construction = Sc.r_float r in
-  let z_assignment = Sc.r_float r in
-  if Array.length z_dist_to_f <> Finite_metric.size metric then
-    failwith "Fotakis_pd.read_state: state from a different metric";
-  let t = create metric ~opening_costs in
-  {
-    t with
-    past = z_past;
-    facility_sites = z_facility_sites;
-    dist_to_f = z_dist_to_f;
-    construction = z_construction;
-    assignment = z_assignment;
-  }
+  let past = Sc.r_list r_past r in
+  let served = Ofl_types.read_served ~who:"Fotakis_pd" metric ~opening_costs r in
+  { served; bids = Array.make (Finite_metric.size metric) 0.0; past }

@@ -1,5 +1,8 @@
 (** Meyerson's randomized Online Facility Location algorithm (FOCS 2001),
-    non-uniform opening costs handled via power-of-two cost classes.
+    non-uniform opening costs handled via power-of-two cost classes: the
+    ones RAND-OMFLP uses, built and searched through
+    {!Omflp_commodity.Cost_classes}. Its open facilities, distance table
+    and costs are an {!Ofl_types.served} set.
 
     On each request the expected amount spent on openings equals the
     request's connection estimate, split across classes proportionally to

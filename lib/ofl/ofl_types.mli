@@ -12,6 +12,41 @@ type run = {
 
 val total_cost : run -> float
 
+(** {1 The served set, which both algorithms keep} *)
+
+type served = {
+  metric : Omflp_metric.Finite_metric.t;
+  opening_costs : float array;
+  dist : float array;  (** [dist.(p) = d(p, F)]; only {!open_site} writes it *)
+  mutable sites : int list;  (** opened sites, newest first *)
+  mutable construction : float;
+  mutable assignment : float;  (** the algorithm adds each assignment *)
+}
+
+(** [served ~who metric ~opening_costs] is the empty set; raises
+    [Invalid_argument "<who>.create: ..."] on an arity mismatch or a
+    negative cost. *)
+val served :
+  who:string -> Omflp_metric.Finite_metric.t -> opening_costs:float array ->
+  served
+
+(** [open_site s m] pays for a facility at [m] and lowers [dist]. *)
+val open_site : served -> int -> unit
+
+val run : served -> run
+
+(** [write_served] writes the sites, [dist] and both costs, the tail of
+    each algorithm's state; [read_served ~who] reads them back and
+    raises [Failure "<who>.read_state: ..."] on a foreign metric. *)
+val write_served : Omflp_prelude.Snapshot_codec.writer -> served -> unit
+
+val read_served :
+  who:string ->
+  Omflp_metric.Finite_metric.t ->
+  opening_costs:float array ->
+  Omflp_prelude.Snapshot_codec.reader ->
+  served
+
 module type ALGORITHM = sig
   type t
 

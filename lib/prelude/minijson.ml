@@ -184,4 +184,11 @@ let to_list = function List items -> Some items | _ -> None
 
 let to_float = function Num f -> Some f | _ -> None
 
+(* Below 2^53 in magnitude every integer is a double exactly, so the
+   number read is the number written. *)
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f < 0x1p53 ->
+      Some (int_of_float f)
+  | _ -> None
+
 let to_string = function Str s -> Some s | _ -> None

@@ -28,4 +28,9 @@ val to_list : t -> t list option
 
 val to_float : t -> float option
 
+(** [to_int j] is [Some n] when [j] is an integral number of magnitude
+    below 2^53 (exactly an OCaml [int] and a double alike), [None] for
+    anything else, a larger number included. *)
+val to_int : t -> int option
+
 val to_string : t -> string option

@@ -38,6 +38,15 @@ let manifest_json ~algo ~seed ~instance_md5 ~snapshot_every =
 let create ~dir ~algo ~seed ~instance_md5 ~snapshot_every =
   if snapshot_every <= 0 then
     invalid_arg "Checkpoint.create: snapshot_every must be positive";
+  (* The manifest keeps the seed as a JSON number, which [load_manifest]
+     reads back exactly only below 2^53 in magnitude. *)
+  (match seed with
+  | Some s when Minijson.to_int (Minijson.Num (float_of_int s)) <> Some s ->
+      fail
+        "Checkpoint.create: seed %d cannot be checkpointed: the manifest \
+         holds only seeds below 2^53 in magnitude"
+        s
+  | _ -> ());
   if not (Sys.file_exists dir) then Unix.mkdir dir 0o755
   else if not (Sys.is_directory dir) then
     fail "Checkpoint.create: %s exists and is not a directory" dir;
@@ -206,12 +215,15 @@ let load_manifest ~dir =
   let int key =
     match Minijson.member key json with
     | None -> fail "Checkpoint.resume: manifest misses %S" key
-    | Some (Minijson.Num f) when Float.is_integer f -> int_of_float f
-    | Some (Minijson.Num f) ->
-        fail "Checkpoint.resume: manifest field %S must be an integer (got %g)"
-          key f
-    | Some _ ->
-        fail "Checkpoint.resume: manifest field %S must be an integer" key
+    | Some j -> (
+        match (Minijson.to_int j, j) with
+        | Some n, _ -> n
+        | None, Minijson.Num f ->
+            fail
+              "Checkpoint.resume: manifest field %S must be an integer (got %g)"
+              key f
+        | None, _ ->
+            fail "Checkpoint.resume: manifest field %S must be an integer" key)
   in
   let snapshot_every = int "snapshot_every" in
   if snapshot_every < 1 then
@@ -221,10 +233,12 @@ let load_manifest ~dir =
   let seed =
     match Minijson.member "seed" json with
     | None | Some Minijson.Null -> None
-    | Some (Minijson.Num f) when Float.is_integer f -> Some (int_of_float f)
-    | Some _ ->
-        fail "Checkpoint.resume: manifest field \"seed\" must be an integer \
-              or null"
+    | Some j -> (
+        match Minijson.to_int j with
+        | Some s -> Some s
+        | None ->
+            fail "Checkpoint.resume: manifest field \"seed\" must be an \
+                  integer or null")
   in
   (str "format", str "algo", seed, str "instance_md5", snapshot_every)
 

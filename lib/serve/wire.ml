@@ -32,10 +32,7 @@ let buf_add_int_list b es =
 
 (* ---------- requests ---------- *)
 
-let int_member key json =
-  match Option.bind (Minijson.member key json) Minijson.to_float with
-  | Some f when Float.is_integer f -> Some (int_of_float f)
-  | _ -> None
+let int_member key json = Option.bind (Minijson.member key json) Minijson.to_int
 
 let demand_member key json =
   match Option.bind (Minijson.member key json) Minijson.to_list with
@@ -44,44 +41,51 @@ let demand_member key json =
       let rec ints acc = function
         | [] -> Some (List.rev acc)
         | j :: rest -> (
-            match Minijson.to_float j with
-            | Some f when Float.is_integer f -> ints (int_of_float f :: acc) rest
-            | _ -> None)
+            match Minijson.to_int j with
+            | Some e -> ints (e :: acc) rest
+            | None -> None)
       in
       ints [] items
+
+let request_of_json ~n_sites ~n_commodities json =
+  match (int_member "site" json, demand_member "demand" json) with
+  | None, _ -> Error {|missing or non-integer "site"|}
+  | _, None -> Error {|missing or non-integer-list "demand"|}
+  | Some site, Some demand ->
+      if site < 0 || site >= n_sites then
+        Error (Printf.sprintf "site %d out of range [0,%d)" site n_sites)
+      else if demand = [] then Error "empty demand"
+      else if List.exists (fun e -> e < 0 || e >= n_commodities) demand then
+        Error
+          (Printf.sprintf "demand commodity out of range [0,%d)" n_commodities)
+      else Ok (Request.make ~site ~demand:(Cset.of_list ~n_commodities demand))
 
 let parse_request ~n_sites ~n_commodities line =
   match Minijson.of_string line with
   | exception Minijson.Parse_error msg -> Error ("bad JSON: " ^ msg)
-  | json -> (
-      match (int_member "site" json, demand_member "demand" json) with
-      | None, _ -> Error {|missing or non-integer "site"|}
-      | _, None -> Error {|missing or non-integer-list "demand"|}
-      | Some site, Some demand ->
-          if site < 0 || site >= n_sites then
-            Error
-              (Printf.sprintf "site %d out of range [0,%d)" site n_sites)
-          else if demand = [] then Error "empty demand"
-          else if
-            List.exists (fun e -> e < 0 || e >= n_commodities) demand
-          then
-            Error
-              (Printf.sprintf "demand commodity out of range [0,%d)"
-                 n_commodities)
-          else
-            Ok
-              (Request.make ~site
-                 ~demand:(Cset.of_list ~n_commodities demand)))
+  | json -> request_of_json ~n_sites ~n_commodities json
 
-let request_to_json ~index (r : Request.t) =
-  let b = Buffer.create 64 in
-  Buffer.add_string b "{\"index\":";
-  Buffer.add_string b (string_of_int index);
-  Buffer.add_string b ",\"site\":";
+(* Both encodings end with the request's own fields: ["site":s,
+   "demand":[...]}]. *)
+let buf_add_request_fields b (r : Request.t) =
+  Buffer.add_string b "\"site\":";
   Buffer.add_string b (string_of_int r.site);
   Buffer.add_string b ",\"demand\":";
   buf_add_int_list b (Cset.elements r.demand);
-  Buffer.add_char b '}';
+  Buffer.add_char b '}'
+
+let request_line r =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '{';
+  buf_add_request_fields b r;
+  Buffer.contents b
+
+let request_to_json ~index r =
+  let b = Buffer.create 64 in
+  Buffer.add_string b "{\"index\":";
+  Buffer.add_string b (string_of_int index);
+  Buffer.add_char b ',';
+  buf_add_request_fields b r;
   Buffer.contents b
 
 let parse_wal_line ~n_sites ~n_commodities line =
@@ -90,10 +94,10 @@ let parse_wal_line ~n_sites ~n_commodities line =
   | json -> (
       match int_member "index" json with
       | None -> Error {|missing or non-integer "index"|}
-      | Some index -> (
-          match parse_request ~n_sites ~n_commodities line with
-          | Error e -> Error e
-          | Ok r -> Ok (index, r)))
+      | Some index ->
+          Result.map
+            (fun r -> (index, r))
+            (request_of_json ~n_sites ~n_commodities json))
 
 (* ---------- session-open handshake ---------- *)
 
@@ -135,8 +139,10 @@ let bool_member key json =
 let opt_int_member key json =
   match Minijson.member key json with
   | None | Some Minijson.Null -> Ok None
-  | Some (Minijson.Num f) when Float.is_integer f -> Ok (Some (int_of_float f))
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" key)
+  | Some j -> (
+      match Minijson.to_int j with
+      | Some n -> Ok (Some n)
+      | None -> Error (Printf.sprintf "field %S must be an integer" key))
 
 let parse_hello line =
   let ( let* ) = Result.bind in

@@ -29,12 +29,19 @@ val parse_request :
   string ->
   (Omflp_instance.Request.t, string) result
 
+(** [request_line r] is the client request line,
+    [{"site":s,"demand":[...]}], that {!parse_request} reads. *)
+val request_line : Omflp_instance.Request.t -> string
+
 (** [request_to_json ~index r] is the canonical WAL encoding,
-    [{"index":k,"site":s,"demand":[...]}]. *)
+    [{"index":k,"site":s,"demand":[...]}]: {!request_line} with the
+    index in front. *)
 val request_to_json : index:int -> Omflp_instance.Request.t -> string
 
 (** [parse_wal_line ~n_sites ~n_commodities line] reads back a
-    {!request_to_json} line. *)
+    {!request_to_json} line, parsing it once: a missing or non-integer
+    ["index"] is refused first, then the request fields as
+    {!parse_request} refuses them. *)
 val parse_wal_line :
   n_sites:int ->
   n_commodities:int ->

@@ -45,6 +45,25 @@ let test_indep_matches_fotakis_on_one_commodity () =
     (Omflp_ofl.Ofl_types.total_cost snap)
     (Run.total_cost indep)
 
+(* FOTAKIS-OFL steps each commodity through the same Fotakis event as
+   INDEP; on the golden OMFLP scenarios their runs are the same
+   decisions, facility for facility. *)
+let test_indep_equals_fotakis_ofl_on_golden () =
+  for index = 0 to 29 do
+    let sc = Omflp_check.Scenario.golden ~master_seed:0xD16E57 ~index in
+    let digest algo =
+      let run =
+        Simulator.run ~seed:sc.Omflp_check.Scenario.algo_seed ~check:false algo
+          sc.Omflp_check.Scenario.instance
+      in
+      Omflp_check.Oracle.run_digest { run with Run.algorithm = "" }
+    in
+    Alcotest.(check string)
+      (Printf.sprintf "golden scenario %d" index)
+      (digest (module Indep_baseline))
+      (digest (module Ofl_adapter.Fotakis_ofl))
+  done
+
 let test_indep_pays_per_commodity () =
   (* Single point, both commodities in one request: INDEP opens two small
      facilities even though a shared one would be cheaper. *)
@@ -151,6 +170,8 @@ let () =
           Alcotest.test_case "matches Fotakis (|S|=1)" `Quick
             test_indep_matches_fotakis_on_one_commodity;
           Alcotest.test_case "pays per commodity" `Quick test_indep_pays_per_commodity;
+          Alcotest.test_case "equals FOTAKIS-OFL on the golden scenarios"
+            `Quick test_indep_equals_fotakis_ofl_on_golden;
         ] );
       ( "all_large",
         [

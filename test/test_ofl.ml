@@ -71,6 +71,40 @@ let test_fotakis_cost_arity () =
     (Invalid_argument "Fotakis_pd.create: opening_costs arity mismatch")
     (fun () -> ignore (Fotakis_pd.create metric ~opening_costs:[| 1.0 |]))
 
+(* The shared primal–dual event, one row per rule. Each row gives the
+   line positions, opening costs, d(·, F), history (newest first) and
+   request site, then the expected opening, dual and final bids. *)
+let test_fotakis_event_table () =
+  let table =
+    [ "equal opening prices go to the lowest site",
+      [| 0.; 1.; -1. |], [| 10.; 1.; 1. |], (fun _ -> infinity), [], 0,
+      Some 1, 2.0, [| 0.; 0.; 0. |]
+    ; "a price equal to the connection distance connects at it",
+      [| 0.; 1.; -1. |], [| 10.; 1.; 1. |], (fun _ -> 2.0), [], 0,
+      None, 2.0, [| 0.; 0.; 0. |]
+    ; "a past request bids at most its distance to the served set",
+      [| 0.; 1.; 1.5 |], [| 10.; 1.2; 10. |], (fun s -> [| 1.5; 0.5; 0. |].(s)),
+      [ { Fotakis_pd.site = 1; dual = 100. } ], 0,
+      None, 1.5, [| 0.; 0.5; 0. |]
+    ; "an empty history opens at m when d(r,m) + f_m < d(r,F)",
+      [| 0.; 1. |], [| 5.; 0.5 |], (fun _ -> 2.0), [], 0,
+      Some 1, 1.5, [| 0.; 0. |]
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (name, positions, opening, dist_to_served, past, r, opened, dual, bids)
+       ->
+      let metric = Finite_metric.line positions in
+      let scratch = Array.make (Array.length positions) nan in
+      let o, p =
+        Fotakis_pd.event metric ~bids:scratch ~opening ~dist_to_served past r
+      in
+      Alcotest.(check (option int)) (name ^ ": opening") opened o;
+      check_int (name ^ ": site") r p.Fotakis_pd.site;
+      check_float 1e-12 (name ^ ": dual") dual p.Fotakis_pd.dual;
+      Alcotest.(check (array (float 1e-12))) (name ^ ": bids") bids scratch)
+    table
+
 (* ---------- Meyerson ---------- *)
 
 let test_meyerson_coverage () =
@@ -168,6 +202,7 @@ let () =
           Alcotest.test_case "connects when cheap" `Quick test_fotakis_connects_when_cheap;
           Alcotest.test_case "duals exposed" `Quick test_fotakis_duals_length;
           Alcotest.test_case "arity validation" `Quick test_fotakis_cost_arity;
+          Alcotest.test_case "event rules" `Quick test_fotakis_event_table;
         ] );
       ( "meyerson",
         [

@@ -324,6 +324,72 @@ let test_wire_decision_buffer_allocation_bounded () =
        per_call)
     true (per_call < 400.0)
 
+(* JSON numbers became ints through a bare [int_of_float], so a number
+   past the int range came out as 0 or as a wrapped value: a site of
+   1e300 was served at site 0, a commodity of 1e19 as commodity 0, a
+   hello's seed of 1e300 became seed 0. Every JSON integer is now exact
+   (below 2^53 in magnitude) or refused with its field's usual error. *)
+let test_wire_integers_exact_or_refused () =
+  let request line =
+    match Wire.parse_request ~n_sites:4 ~n_commodities:3 line with
+    | Ok r ->
+        Printf.sprintf "served at site %d, demand [%s]" r.Request.site
+          (String.concat ","
+             (List.map string_of_int
+                (Omflp_commodity.Cset.elements r.Request.demand)))
+    | Error e -> e
+  in
+  List.iter
+    (fun (line, expected) -> check_string line expected (request line))
+    [
+      ({|{"site":1e300,"demand":[0]}|}, {|missing or non-integer "site"|});
+      ({|{"site":6e18,"demand":[0]}|}, {|missing or non-integer "site"|});
+      ( {|{"site":9007199254740992,"demand":[0]}|},
+        {|missing or non-integer "site"|} );
+      ( {|{"site":9007199254740991,"demand":[0]}|},
+        "site 9007199254740991 out of range [0,4)" );
+      ({|{"site":1,"demand":[1e19]}|}, {|missing or non-integer-list "demand"|});
+      ({|{"site":1,"demand":[2,-1e300]}|}, {|missing or non-integer-list "demand"|});
+    ];
+  let hello_seed line =
+    match Wire.parse_hello line with
+    | Ok h -> Option.fold ~none:"no seed" ~some:string_of_int h.Wire.h_seed
+    | Error e -> e
+  in
+  List.iter
+    (fun (line, expected) -> check_string line expected (hello_seed line))
+    [
+      ({|{"session":"s","seed":1e300}|}, {|field "seed" must be an integer|});
+      ( {|{"session":"s","seed":-9007199254740992}|},
+        {|field "seed" must be an integer|} );
+      ({|{"session":"s","seed":-9007199254740991}|}, "-9007199254740991");
+      ( {|{"session":"s","snapshot_every":1e19}|},
+        {|field "snapshot_every" must be an integer|} );
+    ]
+
+(* Every refusal of [parse_wal_line], pinned: the index is checked
+   first, then the request fields of the same parse. *)
+let test_wire_wal_line_errors () =
+  let table =
+    [ {|{"site":1,"demand":[0]}|}, {|missing or non-integer "index"|}
+    ; {|{"index":2.5,"site":1,"demand":[0]}|}, {|missing or non-integer "index"|}
+    ; {|{"index":"2","site":1,"demand":[0]}|}, {|missing or non-integer "index"|}
+    ; {|{"index":2,"site":9,"demand":[0]}|}, "site 9 out of range [0,4)"
+    ; {|{"index":2,"site":"1","demand":[0]}|}, {|missing or non-integer "site"|}
+    ; {|{"index":2,"site":1,"demand":[]}|}, "empty demand"
+    ; {|{"index":2,"site":1,"demand":[5]}|}, "demand commodity out of range [0,5)"
+    ; {|{"index":2,"site":1}|}, {|missing or non-integer-list "demand"|}
+    ; {|{"index":2,"site":1,"demand":[0]|}, "bad JSON: expected , or } at offset 32"
+    ; "", "bad JSON: unexpected end of input at offset 0"
+    ] [@ocamlformat "disable"]
+  in
+  List.iter
+    (fun (line, expected) ->
+      match Wire.parse_wal_line ~n_sites:4 ~n_commodities:5 line with
+      | Ok _ -> Alcotest.failf "%S parsed as a WAL line" line
+      | Error e -> check_string line expected e)
+    table
+
 (* ---------- checkpoint durability ---------- *)
 
 let rec rm_rf path =
@@ -836,6 +902,56 @@ let test_manifest_validation () =
   let rz = open_rz dir () in
   check_int "valid manifest resumes" 4 (Checkpoint.snapshot_every rz.Checkpoint.cp);
   Checkpoint.close rz.Checkpoint.cp
+
+(* The manifest writes the seed with [string_of_int] but read it back
+   through a double, so a seed of 2^53 or more resumed as another seed
+   and the replay diverged from the session's own decision log at index
+   0. Such a seed is now refused by name when the checkpoint is created,
+   and a manifest number that is not an exact int is refused on resume
+   instead of being read as 0. *)
+let test_checkpoint_seed_exact_or_refused () =
+  let inst, _ = scenario 0 in
+  let create ~dir seed =
+    Checkpoint.create ~dir ~algo:Pd_omflp.name ~seed:(Some seed)
+      ~instance_md5:md5 ~snapshot_every:4
+  in
+  let open_rz dir () =
+    Checkpoint.open_resume ~dir
+      ~n_sites:(Instance.n_sites inst)
+      ~n_commodities:(Instance.n_commodities inst)
+      ~instance_md5:md5
+  in
+  (with_temp_dir @@ fun dir ->
+   expect_failure ~substring:"seed 1152921504606846977" (fun () ->
+       create ~dir 1152921504606846977);
+   expect_failure ~substring:"seed -9007199254740992" (fun () ->
+       create ~dir (-9007199254740992));
+   check_bool "a refused seed leaves no manifest" false
+     (Sys.file_exists (Filename.concat dir "MANIFEST.json")));
+  (with_temp_dir @@ fun dir ->
+   Checkpoint.close (create ~dir 9007199254740991);
+   let rz = open_rz dir () in
+   Alcotest.(check (option int))
+     "2^53 - 1 resumes as itself" (Some 9007199254740991)
+     (Checkpoint.seed rz.Checkpoint.cp);
+   Checkpoint.close rz.Checkpoint.cp);
+  let with_edit ~old ~by f =
+    with_temp_dir @@ fun dir ->
+    ignore (crash_after ~dir ~snapshot_every:4 5);
+    rewrite_manifest ~dir ~old ~by;
+    f dir
+  in
+  with_edit ~old:{|"seed":0|} ~by:{|"seed":1e300|} (fun dir ->
+      expect_failure ~substring:{|"seed" must be an integer or null|}
+        (open_rz dir));
+  with_edit ~old:{|"seed":0|} ~by:{|"seed":1152921504606846977|} (fun dir ->
+      expect_failure ~substring:{|"seed" must be an integer or null|}
+        (open_rz dir));
+  with_edit ~old:{|"snapshot_every":4|} ~by:{|"snapshot_every":1e300|}
+    (fun dir ->
+      expect_failure
+        ~substring:{|"snapshot_every" must be an integer (got 1e+300)|}
+        (open_rz dir))
 
 (* ---------- resume cross-check (regression: unchecked WAL replay) ---------- *)
 
@@ -1711,6 +1827,10 @@ let () =
             test_wire_decision_latency_variants;
           Alcotest.test_case "decision buffer allocation bounded" `Quick
             test_wire_decision_buffer_allocation_bounded;
+          Alcotest.test_case "JSON integers are exact or refused" `Quick
+            test_wire_integers_exact_or_refused;
+          Alcotest.test_case "WAL line errors are pinned" `Quick
+            test_wire_wal_line_errors;
         ] );
       ( "checkpoint",
         [
@@ -1740,6 +1860,8 @@ let () =
             test_close_skips_cadence_snapshot;
           Alcotest.test_case "stdin EOF, then --resume skips served lines"
             `Quick test_stdin_eof_then_resume;
+          Alcotest.test_case "seeds past 2^53 are refused by name" `Quick
+            test_checkpoint_seed_exact_or_refused;
         ] );
       ( "server",
         [

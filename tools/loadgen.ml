@@ -46,21 +46,6 @@ type report = {
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-(* The plain request line of the wire protocol (no index — that is the
-   WAL form). *)
-let request_line (r : Request.t) =
-  let b = Buffer.create 64 in
-  Buffer.add_string b "{\"site\":";
-  Buffer.add_string b (string_of_int r.Request.site);
-  Buffer.add_string b ",\"demand\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int c))
-    (Omflp_commodity.Cset.elements r.Request.demand);
-  Buffer.add_string b "]}";
-  Buffer.contents b
-
 (* Session [i] replays the instance's requests rotated by [i] (wrapping
    when it asks for more than the instance holds): every session's
    stream is distinct but fully determined by (env, i). *)
@@ -68,7 +53,8 @@ let stream_for cfg i =
   let reqs = cfg.env.Instance.requests in
   let n = Array.length reqs in
   if n = 0 then fail "Loadgen: the --env instance has no requests to replay";
-  Array.init cfg.requests_per_session (fun j -> request_line reqs.((i + j) mod n))
+  Array.init cfg.requests_per_session (fun j ->
+      Wire.request_line reqs.((i + j) mod n))
 
 let session_id cfg i = Printf.sprintf "%s%d" cfg.session_prefix i
 
