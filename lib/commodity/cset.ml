@@ -20,7 +20,6 @@ let equal = Bitset.equal
 let compare = Bitset.compare
 let iter = Bitset.iter
 let for_all = Bitset.for_all
-let exists = Bitset.exists
 let fold = Bitset.fold
 let elements = Bitset.elements
 let add = Bitset.add

@@ -31,7 +31,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val iter : (int -> unit) -> t -> unit
 val for_all : (int -> bool) -> t -> bool
-val exists : (int -> bool) -> t -> bool
 val fold : (int -> 'a -> 'a) -> t -> 'a -> 'a
 val elements : t -> int list
 val add : t -> int -> t

@@ -39,9 +39,7 @@ let create env ~n_commodities =
     mark_svc = 0;
   }
 
-let env t = t.env
 let metric t = t.metric
-let n_commodities t = t.n_commodities
 let index t = t.index
 
 let push_fac t f =
@@ -81,9 +79,6 @@ let n_facilities t = t.count
 let facility t id =
   if id < 0 || id >= t.count then raise Not_found;
   t.fac.(id)
-
-(* Raw site lookup for hot loops: no bounds ceremony beyond the array's. *)
-let facility_site t id = t.fac.(id).Facility.site
 
 let dist_offering t ~commodity ~from =
   Nearest_index.dist t.index ~commodity ~site:from

@@ -14,9 +14,7 @@ type t
     scan their connection matrix themselves). *)
 val create : Omflp_instance.Problem_env.t -> n_commodities:int -> t
 
-val env : t -> Omflp_instance.Problem_env.t
 val metric : t -> Omflp_metric.Finite_metric.t
-val n_commodities : t -> int
 
 (** [index t] is the store's nearest-open-facility index. Hot loops may
     read its rows directly; all updates go through {!open_facility}. *)
@@ -35,10 +33,6 @@ val n_facilities : t -> int
 
 (** [facility t id] fetches by id. Raises [Not_found]. *)
 val facility : t -> int -> Facility.t
-
-(** [facility_site t id] is [(facility t id).site] without the option
-    ceremony — for hot loops that already hold a valid id. *)
-val facility_site : t -> int -> int
 
 (** [dist_offering t ~commodity ~from] is [d(F(e), ·)]: the distance from
     site [from] to the nearest open facility offering [commodity]

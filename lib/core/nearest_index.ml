@@ -79,12 +79,10 @@ let dist_large t ~site = t.dist_large.(site)
 let id_large t ~site = t.id_large.(site)
 
 (* Read-only flat views for hot loops; commodity [e]'s row starts at
-   [row_base t ~commodity:e]. Callers must not mutate. *)
+   [e * n_sites]. Callers must not mutate. *)
 let flat_dist t = t.dist
 
 let flat_id t = t.id
-
-let row_base t ~commodity = commodity * t.n_sites
 
 let dist_large_row t = t.dist_large
 

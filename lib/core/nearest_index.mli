@@ -50,13 +50,11 @@ val id_large : t -> site:int -> int
 
 (** Read-only views of the underlying flat tables for loops that scan
     every site: cell (commodity [e], site [p]) of {!flat_dist} /
-    {!flat_id} lives at [row_base t ~commodity:e + p]. Callers MUST NOT
-    mutate them. *)
+    {!flat_id} lives at [e * n_sites + p]. Callers MUST NOT mutate
+    them. *)
 val flat_dist : t -> float array
 
 val flat_id : t -> int array
-
-val row_base : t -> commodity:int -> int
 
 val dist_large_row : t -> float array
 

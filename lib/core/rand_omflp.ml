@@ -49,10 +49,10 @@ let class_profile t key ~dist_to =
   let nearest = Array.make k (-1, infinity) in
   let acc = ref infinity in
   for i = 0 to k - 1 do
-    let site, d =
+    let ((_, d) as nearest_i) =
       Cost_classes.nearest_site_in_class t.classes key ~dist_to ~cls_idx:i
     in
-    nearest.(i) <- (site, d);
+    nearest.(i) <- nearest_i;
     acc := Float.min !acc d;
     cum.(i) <- !acc
   done;

@@ -129,7 +129,6 @@ let choose t =
   with Found i -> i
 
 let for_all p t = fold (fun i acc -> acc && p i) t true
-let exists p t = fold (fun i acc -> acc || p i) t false
 
 let hash t = Hashtbl.hash (t.universe, t.words)
 

@@ -75,9 +75,6 @@ val choose : t -> int
 (** [for_all p t] tests whether all elements satisfy [p]. *)
 val for_all : (int -> bool) -> t -> bool
 
-(** [exists p t] tests whether some element satisfies [p]. *)
-val exists : (int -> bool) -> t -> bool
-
 (** [hash t] is a hash compatible with {!equal}. *)
 val hash : t -> int
 

@@ -138,8 +138,7 @@ let handle_batch t (reqs : Request.t array) =
         Buffer.clear t.wal_buf;
         Array.iteri
           (fun i r ->
-            Buffer.add_string t.wal_buf
-              (Wire.request_to_json ~index:(t.count + i) r);
+            Wire.request_to_buffer ~index:(t.count + i) t.wal_buf r;
             Buffer.add_char t.wal_buf '\n')
           reqs;
         Checkpoint.append_wal_batch cp t.wal_buf
@@ -162,12 +161,13 @@ let handle_batch t (reqs : Request.t array) =
                if t.count mod Checkpoint.snapshot_every cp = 0 then
                  segments_rev := encode_snapshot t :: !segments_rev
            | None -> ());
-           Trace_sink.emit_current ~kind:"serve.step"
-             [
-               ("index", Trace_sink.Int d.Wire.index);
-               ("site", Trace_sink.Int d.Wire.site);
-               ("total", Trace_sink.Float d.Wire.total);
-             ];
+           if Trace_sink.installed () then
+             Trace_sink.emit_current ~kind:"serve.step"
+               [
+                 ("index", Trace_sink.Int d.Wire.index);
+                 ("site", Trace_sink.Int d.Wire.site);
+                 ("total", Trace_sink.Float d.Wire.total);
+               ];
            ds_rev := d :: !ds_rev)
          reqs
      with e ->

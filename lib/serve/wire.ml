@@ -19,15 +19,17 @@ let buf_add_json_string b s =
     s;
   Buffer.add_char b '"'
 
-let buf_add_float b v = Printf.bprintf b "%.17g" v
-
-let buf_add_int_list b es =
-  Buffer.add_char b '[';
+(* [e1,e2,...] without the brackets. *)
+let buf_add_ints b es =
   List.iteri
     (fun i e ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (string_of_int e))
-    es;
+      Numfmt.add_int b e)
+    es
+
+let buf_add_int_list b es =
+  Buffer.add_char b '[';
+  buf_add_ints b es;
   Buffer.add_char b ']'
 
 (* ---------- requests ---------- *)
@@ -60,16 +62,117 @@ let request_of_json ~n_sites ~n_commodities json =
           (Printf.sprintf "demand commodity out of range [0,%d)" n_commodities)
       else Ok (Request.make ~site ~demand:(Cset.of_list ~n_commodities demand))
 
+(* The canonical request scanner: reads
+   [{"index":k,"site":s,"demand":[e,...]}] ("index" optional) straight
+   off the line, JSON whitespace allowed between tokens, every number
+   plain digits. It answers only for a line whose every value is in
+   range; any other line is [None] and goes to Minijson, whose answer —
+   request or error — is the reference, so the scanner has no error
+   message of its own. [index] is -1 until a line's "index" is read. *)
+type cursor = { line : string; mutable pos : int; mutable index : int }
+
+let skip_ws c =
+  let n = String.length c.line in
+  while
+    c.pos < n
+    && match String.unsafe_get c.line c.pos with
+       | ' ' | '\t' | '\n' | '\r' -> true
+       | _ -> false
+  do
+    c.pos <- c.pos + 1
+  done
+
+(* The next token is the character [ch]; consumes it. *)
+let token c ch =
+  skip_ws c;
+  if c.pos < String.length c.line && String.unsafe_get c.line c.pos = ch then begin
+    c.pos <- c.pos + 1;
+    true
+  end
+  else false
+
+let rec equal_at line pos w k =
+  k = String.length w
+  || (String.unsafe_get line (pos + k) = String.unsafe_get w k
+     && equal_at line pos w (k + 1))
+
+(* The next token is the literal [w] (a quoted key); consumes it. *)
+let word c w =
+  skip_ws c;
+  if c.pos + String.length w <= String.length c.line && equal_at c.line c.pos w 0
+  then begin
+    c.pos <- c.pos + String.length w;
+    true
+  end
+  else false
+
+(* The next token is a natural Minijson reads exactly: ["0"] or a
+   nonzero digit and at most 14 more digits (below 2^53). Its value,
+   consumed; -1 otherwise. A sign, fraction or exponent after the
+   digits is left for the next token check to refuse. *)
+let natural c =
+  skip_ws c;
+  let line = c.line in
+  let n = String.length line in
+  let i = ref c.pos and v = ref 0 in
+  while !i < n && String.unsafe_get line !i >= '0' && String.unsafe_get line !i <= '9' do
+    v := (!v * 10) + Char.code (String.unsafe_get line !i) - 48;
+    incr i
+  done;
+  let digits = !i - c.pos in
+  if digits = 0 || digits > 15 || (digits > 1 && String.unsafe_get line c.pos = '0')
+  then -1
+  else begin
+    c.pos <- !i;
+    !v
+  end
+
+(* An optional leading ["index":k,]. *)
+let index_field c =
+  (not (word c {|"index"|}))
+  || (token c ':'
+     && (c.index <- natural c;
+         c.index >= 0)
+     && token c ',')
+
+(* The demand list from after its ["["] to the line's end; [es] holds
+   the commodities read so far, newest first. *)
+let rec scan_commodities c ~site ~n_commodities es =
+  let e = natural c in
+  if e < 0 || e >= n_commodities then None
+  else if token c ',' then scan_commodities c ~site ~n_commodities (e :: es)
+  else if token c ']' && token c '}' then begin
+    skip_ws c;
+    if c.pos = String.length c.line then
+      Some (Request.make ~site ~demand:(Cset.of_list ~n_commodities (e :: es)))
+    else None
+  end
+  else None
+
+let scan_request ~n_sites ~n_commodities c =
+  if not (token c '{' && index_field c && word c {|"site"|} && token c ':') then
+    None
+  else
+    let site = natural c in
+    if
+      site < 0 || site >= n_sites
+      || not (token c ',' && word c {|"demand"|} && token c ':' && token c '[')
+    then None
+    else scan_commodities c ~site ~n_commodities []
+
 let parse_request ~n_sites ~n_commodities line =
-  match Minijson.of_string line with
-  | exception Minijson.Parse_error msg -> Error ("bad JSON: " ^ msg)
-  | json -> request_of_json ~n_sites ~n_commodities json
+  match scan_request ~n_sites ~n_commodities { line; pos = 0; index = -1 } with
+  | Some r -> Ok r
+  | None -> (
+      match Minijson.of_string line with
+      | exception Minijson.Parse_error msg -> Error ("bad JSON: " ^ msg)
+      | json -> request_of_json ~n_sites ~n_commodities json)
 
 (* Both encodings end with the request's own fields: ["site":s,
    "demand":[...]}]. *)
 let buf_add_request_fields b (r : Request.t) =
   Buffer.add_string b "\"site\":";
-  Buffer.add_string b (string_of_int r.site);
+  Numfmt.add_int b r.site;
   Buffer.add_string b ",\"demand\":";
   buf_add_int_list b (Cset.elements r.demand);
   Buffer.add_char b '}'
@@ -80,24 +183,31 @@ let request_line r =
   buf_add_request_fields b r;
   Buffer.contents b
 
+let request_to_buffer ~index b r =
+  Buffer.add_string b "{\"index\":";
+  Numfmt.add_int b index;
+  Buffer.add_char b ',';
+  buf_add_request_fields b r
+
 let request_to_json ~index r =
   let b = Buffer.create 64 in
-  Buffer.add_string b "{\"index\":";
-  Buffer.add_string b (string_of_int index);
-  Buffer.add_char b ',';
-  buf_add_request_fields b r;
+  request_to_buffer ~index b r;
   Buffer.contents b
 
 let parse_wal_line ~n_sites ~n_commodities line =
-  match Minijson.of_string line with
-  | exception Minijson.Parse_error msg -> Error ("bad JSON: " ^ msg)
-  | json -> (
-      match int_member "index" json with
-      | None -> Error {|missing or non-integer "index"|}
-      | Some index ->
-          Result.map
-            (fun r -> (index, r))
-            (request_of_json ~n_sites ~n_commodities json))
+  let c = { line; pos = 0; index = -1 } in
+  match scan_request ~n_sites ~n_commodities c with
+  | Some r when c.index >= 0 -> Ok (c.index, r)
+  | _ -> (
+      match Minijson.of_string line with
+      | exception Minijson.Parse_error msg -> Error ("bad JSON: " ^ msg)
+      | json -> (
+          match int_member "index" json with
+          | None -> Error {|missing or non-integer "index"|}
+          | Some index ->
+              Result.map
+                (fun r -> (index, r))
+                (request_of_json ~n_sites ~n_commodities json)))
 
 (* ---------- session-open handshake ---------- *)
 
@@ -193,12 +303,12 @@ let hello_to_json h =
   | None -> ()
   | Some s ->
       Buffer.add_string b ",\"seed\":";
-      Buffer.add_string b (string_of_int s));
+      Numfmt.add_int b s);
   (match h.h_snapshot_every with
   | None -> ()
   | Some n ->
       Buffer.add_string b ",\"snapshot_every\":";
-      Buffer.add_string b (string_of_int n));
+      Numfmt.add_int b n);
   (match h.h_checkpoint with
   | None -> ()
   | Some c -> Buffer.add_string b (if c then ",\"checkpoint\":true" else ",\"checkpoint\":false"));
@@ -220,9 +330,9 @@ let ack_to_json a =
   Buffer.add_string b ",\"algo\":";
   buf_add_json_string b a.a_algo;
   Buffer.add_string b ",\"served\":";
-  Buffer.add_string b (string_of_int a.a_served);
+  Numfmt.add_int b a.a_served;
   Buffer.add_string b ",\"reemitted\":";
-  Buffer.add_string b (string_of_int a.a_reemitted);
+  Numfmt.add_int b a.a_reemitted;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -236,9 +346,9 @@ let error_to_json msg =
 let done_to_json ~served ~total =
   let b = Buffer.create 64 in
   Buffer.add_string b "{\"done\":true,\"served\":";
-  Buffer.add_string b (string_of_int served);
+  Numfmt.add_int b served;
   Buffer.add_string b ",\"total\":";
-  buf_add_float b total;
+  Numfmt.add_g17 b total;
   Buffer.add_char b '}';
   Buffer.contents b
 
@@ -303,30 +413,32 @@ type decision = {
 
 let buf_add_kind b (k : Facility.kind) =
   match k with
-  | Facility.Small e -> buf_add_json_string b (Printf.sprintf "small(%d)" e)
-  | Facility.Large -> buf_add_json_string b "large"
+  | Facility.Small e ->
+      Buffer.add_string b "\"small(";
+      Numfmt.add_int b e;
+      Buffer.add_string b ")\""
+  | Facility.Large -> Buffer.add_string b "\"large\""
   | Facility.Custom s ->
-      buf_add_json_string b
-        ("custom("
-        ^ String.concat "," (List.map string_of_int (Cset.elements s))
-        ^ ")")
+      Buffer.add_string b "\"custom(";
+      buf_add_ints b (Cset.elements s);
+      Buffer.add_string b ")\""
 
 let buf_add_facility b (f : Facility.t) =
   Buffer.add_string b "{\"id\":";
-  Buffer.add_string b (string_of_int f.id);
+  Numfmt.add_int b f.id;
   Buffer.add_string b ",\"site\":";
-  Buffer.add_string b (string_of_int f.site);
+  Numfmt.add_int b f.site;
   Buffer.add_string b ",\"kind\":";
   buf_add_kind b f.kind;
   Buffer.add_string b ",\"cost\":";
-  buf_add_float b f.cost;
+  Numfmt.add_g17 b f.cost;
   Buffer.add_char b '}'
 
 let buf_add_service b (s : Service.t) =
   match s with
   | Service.To_single fid ->
       Buffer.add_string b "{\"kind\":\"single\",\"facility\":";
-      Buffer.add_string b (string_of_int fid);
+      Numfmt.add_int b fid;
       Buffer.add_char b '}'
   | Service.Per_commodity pairs ->
       Buffer.add_string b "{\"kind\":\"per_commodity\",\"pairs\":[";
@@ -334,9 +446,9 @@ let buf_add_service b (s : Service.t) =
         (fun i (e, fid) ->
           if i > 0 then Buffer.add_char b ',';
           Buffer.add_char b '[';
-          Buffer.add_string b (string_of_int e);
+          Numfmt.add_int b e;
           Buffer.add_char b ',';
-          Buffer.add_string b (string_of_int fid);
+          Numfmt.add_int b fid;
           Buffer.add_char b ']')
         pairs;
       Buffer.add_string b "]}"
@@ -346,9 +458,9 @@ let buf_add_service b (s : Service.t) =
    fresh 256-byte one per decision. *)
 let decision_to_buffer ?latency_s b (d : decision) =
   Buffer.add_string b "{\"index\":";
-  Buffer.add_string b (string_of_int d.index);
+  Numfmt.add_int b d.index;
   Buffer.add_string b ",\"site\":";
-  Buffer.add_string b (string_of_int d.site);
+  Numfmt.add_int b d.site;
   Buffer.add_string b ",\"demand\":";
   buf_add_int_list b d.demand;
   Buffer.add_string b ",\"service\":";
@@ -360,14 +472,16 @@ let decision_to_buffer ?latency_s b (d : decision) =
       buf_add_facility b f)
     d.opened;
   Buffer.add_string b "],\"construction\":";
-  buf_add_float b d.construction;
+  Numfmt.add_g17 b d.construction;
   Buffer.add_string b ",\"assignment\":";
-  buf_add_float b d.assignment;
+  Numfmt.add_g17 b d.assignment;
   Buffer.add_string b ",\"total\":";
-  buf_add_float b d.total;
+  Numfmt.add_g17 b d.total;
   (match latency_s with
   | None -> ()
-  | Some l -> Printf.bprintf b ",\"latency_s\":%.6f" l);
+  | Some l ->
+      Buffer.add_string b ",\"latency_s\":";
+      Buffer.add_string b (Numfmt.format_float "%.6f" l));
   Buffer.add_char b '}'
 
 let decision_to_json ?latency_s (d : decision) =

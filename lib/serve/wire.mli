@@ -5,7 +5,21 @@
     (no [latency_s] field, floats printed [%.17g]) is what lands in the
     checkpoint's decision log, so an interrupted-and-resumed session can be
     diffed byte-for-byte against a straight-through run; the interactive
-    stream adds the per-step latency on top. *)
+    stream adds the per-step latency on top.
+
+    Both directions skip the general machinery on the serving path.
+    {!parse_request} and {!parse_wal_line} first scan the canonical shape
+    [{"index":k,"site":s,"demand":[e,...]}] ("index" optional for a
+    request) directly: JSON whitespace between tokens, every number plain
+    digits without a leading zero and at most 15 of them, every value in
+    range. Any other line — another key order, an extra or repeated key,
+    an escape, a sign, a fraction, an out-of-range value, bad JSON — goes
+    to {!Omflp_prelude.Minijson} unchanged, so the result (request or
+    error message) is always the one the Minijson reading gives. The
+    encoders write integers digit by digit and floats through
+    {!Omflp_prelude.Numfmt.add_g17}, the bytes of [Printf "%.17g"];
+    [latency_s] is [%.6f] through the same C conversion [Printf] uses.
+    The handshake lines are parsed with Minijson only. *)
 
 (** A decision record: what happened to request [index]. [opened] lists
     facilities opened {e by this step} in opening order; the cost fields
@@ -37,6 +51,11 @@ val request_line : Omflp_instance.Request.t -> string
     [{"index":k,"site":s,"demand":[...]}]: {!request_line} with the
     index in front. *)
 val request_to_json : index:int -> Omflp_instance.Request.t -> string
+
+(** [request_to_buffer ~index b r] appends [request_to_json ~index r]
+    to [b] (no trailing newline). *)
+val request_to_buffer :
+  index:int -> Buffer.t -> Omflp_instance.Request.t -> unit
 
 (** [parse_wal_line ~n_sites ~n_commodities line] reads back a
     {!request_to_json} line, parsing it once: a missing or non-integer

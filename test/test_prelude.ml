@@ -741,6 +741,48 @@ let test_codec_pd_snapshot_past_64k () =
   check_bool "restored run = uninterrupted run" true
     (String.equal (digest t') (digest straight))
 
+(* ---------- Numfmt ---------- *)
+
+(* Floats from every region [%.17g] treats differently: random bit
+   patterns (mostly huge or tiny), uniform exponents over and around the
+   fixed-notation range [1e-4, 1e16), k/10^j and k/2^j, powers of ten
+   1-3 ulps either way, subnormals, and the signed zeros, nans and
+   infinities. *)
+let gen_g17_float st =
+  let int n = Random.State.int st n in
+  let rec ulps step x k = if k = 0 then x else ulps step (step x) (k - 1) in
+  match int 7 with
+  | 0 -> Int64.float_of_bits (Random.State.bits64 st)
+  | 1 -> Float.ldexp (Random.State.float st 1.0) (int 80 - 20)
+  | 2 -> float (Random.State.bits st) /. (10.0 ** float (int 24))
+  | 3 -> float (Random.State.bits st) /. Float.ldexp 1.0 (int 70)
+  | 4 ->
+      ulps
+        (if int 2 = 0 then Float.succ else Float.pred)
+        (float_of_string (Printf.sprintf "1e%d" (int 50 - 25)))
+        (int 4)
+  | 5 -> Int64.float_of_bits (Random.State.int64 st 0x10_0000_0000_0000L)
+  | _ ->
+      [| 0.0; -0.0; Float.nan; Float.neg Float.nan; Float.infinity;
+         Float.neg_infinity; 1e-4; 1e16; Float.min_float; Float.max_float |].(int 10)
+
+let prop_g17_matches_printf =
+  QCheck.Test.make ~name:"add_g17 = Printf %.17g" ~count:20000
+    (QCheck.make ~print:(fun x -> Printf.sprintf "%h" x) gen_g17_float)
+    (fun x ->
+      let b = Buffer.create 32 in
+      Numfmt.add_g17 b x;
+      String.equal (Buffer.contents b) (Printf.sprintf "%.17g" x))
+
+let test_numfmt_add_int () =
+  let b = Buffer.create 32 in
+  List.iter
+    (fun n ->
+      Buffer.clear b;
+      Numfmt.add_int b n;
+      Alcotest.(check string) (string_of_int n) (string_of_int n) (Buffer.contents b))
+    [ 0; 1; 9; 10; 99; 100; 123456789; max_int; -1; -10; min_int ]
+
 let qcheck_tests =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -806,6 +848,9 @@ let () =
           Alcotest.test_case "pos" `Quick test_pos;
           Alcotest.test_case "kahan" `Quick test_kahan;
           Alcotest.test_case "log/loglog" `Quick test_log_over_loglog;
+          QCheck_alcotest.to_alcotest prop_g17_matches_printf;
+          Alcotest.test_case "add_int = string_of_int" `Quick
+            test_numfmt_add_int;
         ] );
       ( "stats",
         [

@@ -1794,6 +1794,344 @@ let test_retired_v3_blobs_refused () =
       Session.start ~algo:algo_pd ~seed:0 ~instance_md5:md5
         ~checkpoint:(Some (dir, 5)) ~resume:true env)
 
+(* ---------- the committed wire fixture ---------- *)
+
+(* test/golden/wire/ was written by tools/gen_wire_fixture.exe with the
+   Minijson/Printf codecs that the request scanner and the number
+   writers replaced; every byte must still come out the same. *)
+let fixture_latency_s = 1.234e-4 (* mirrors tools/gen_wire_fixture.ml *)
+
+let golden_path rel =
+  let p = Filename.concat "golden" rel in
+  if Sys.file_exists p then p else Filename.concat "test" p
+
+(* A fixture file as its [(tag, rest)] lines. *)
+let fixture_lines rel =
+  In_channel.with_open_bin (golden_path rel) In_channel.input_lines
+  |> List.map (fun l ->
+         match String.index_opt l ' ' with
+         | Some i ->
+             (String.sub l 0 i, String.sub l (i + 1) (String.length l - i - 1))
+         | None -> Alcotest.failf "malformed fixture line %S" l)
+
+let tagged t lines =
+  List.filter_map (fun (t', l) -> if t = t' then Some l else None) lines
+
+(* The skeleton of every floats.txt case; mirrors
+   tools/gen_wire_fixture.ml. *)
+let special_decision k v =
+  let cs = Omflp_commodity.Cset.of_list ~n_commodities:4 [ 0; 2 ] in
+  {
+    Wire.index = k;
+    site = 3;
+    demand = [ 0; 2 ];
+    service =
+      (if k mod 2 = 0 then Service.To_single 7
+       else Service.Per_commodity [ (0, 7); (2, 8) ]);
+    opened =
+      [
+        {
+          Facility.id = 7;
+          site = 3;
+          kind = Facility.Small 0;
+          offered = Omflp_commodity.Cset.singleton ~n_commodities:4 0;
+          cost = v;
+          opened_at = k;
+        };
+        {
+          Facility.id = 8;
+          site = 1;
+          kind = Facility.Custom cs;
+          offered = cs;
+          cost = v;
+          opened_at = k;
+        };
+      ];
+    construction = v;
+    assignment = v;
+    total = v;
+  }
+
+(* streams.txt as [(scenario, algorithm, lines)], split at its
+   "scenario" lines. *)
+let fixture_streams () =
+  let close acc = function Some (i, n, ls) -> (i, n, List.rev ls) :: acc | None -> acc in
+  let rec go acc cur = function
+    | [] -> List.rev (close acc cur)
+    | ("scenario", rest) :: tl -> (
+        match String.split_on_char ' ' rest with
+        | [ idx; name ] -> go (close acc cur) (Some (int_of_string idx, name, [])) tl
+        | _ -> Alcotest.failf "malformed scenario line %S" rest)
+    | line :: tl -> (
+        match cur with
+        | Some (idx, name, ls) -> go acc (Some (idx, name, line :: ls)) tl
+        | None -> Alcotest.fail "fixture line before any scenario")
+  in
+  go [] None (fixture_lines "wire/streams.txt")
+
+(* Every stream is served in batches of 3 through a checkpointed
+   session, so its WAL and decision log are written by
+   Session.handle_batch; each request and decision is also encoded and
+   parsed by hand. *)
+let test_wire_fixture_bytes () =
+  let streams = fixture_streams () in
+  check_int "one stream per registered algorithm"
+    (List.length (Registry.extended ()))
+    (List.length streams);
+  List.iter
+    (fun (idx, name, lines) ->
+      let algo =
+        match Registry.find name with
+        | Ok a -> a
+        | Error _ -> Alcotest.failf "fixture names unknown algorithm %s" name
+      in
+      let inst, seed = scenario idx in
+      let env = Instance.env inst in
+      let n_sites = Omflp_metric.Finite_metric.size (Problem_env.metric env) in
+      let n_commodities =
+        Omflp_commodity.Cost_function.n_commodities (Problem_env.cost env)
+      in
+      let reqs = inst.Instance.requests in
+      let n = Array.length reqs in
+      let lines_of t =
+        let ls = Array.of_list (tagged t lines) in
+        check_int (Printf.sprintf "%s %S lines" name t) n (Array.length ls);
+        ls
+      in
+      let req = lines_of "req" and wal = lines_of "wal" in
+      let dec = lines_of "dec" and lat = lines_of "lat" in
+      let what i field = Printf.sprintf "%d %s request %d: %s" idx name i field in
+      with_temp_dir @@ fun dir ->
+      let (module A : Algo_intf.ALGO) = algo in
+      let checkpoint =
+        Checkpoint.create ~dir ~algo:A.name ~seed:(Some seed) ~instance_md5:md5
+          ~snapshot_every:4
+      in
+      let s = Session.create ~algo ~seed ~checkpoint env in
+      let ds =
+        Array.concat
+          (List.init ((n + 2) / 3) (fun k ->
+               Session.handle_batch s (Array.sub reqs (3 * k) (min 3 (n - (3 * k))))))
+      in
+      let b = Buffer.create 256 in
+      Array.iteri
+        (fun i r ->
+          check_string (what i "request line") req.(i) (Wire.request_line r);
+          check_bool (what i "request line parses back") true
+            (Wire.parse_request ~n_sites ~n_commodities req.(i) = Ok r);
+          check_string (what i "WAL line") wal.(i) (Wire.request_to_json ~index:i r);
+          check_bool (what i "WAL line parses back") true
+            (Wire.parse_wal_line ~n_sites ~n_commodities wal.(i) = Ok (i, r));
+          check_string (what i "decision") dec.(i) (Wire.decision_to_json ds.(i));
+          check_string (what i "decision with latency") lat.(i)
+            (Wire.decision_to_json ~latency_s:fixture_latency_s ds.(i));
+          Buffer.clear b;
+          Wire.decision_to_buffer ~latency_s:fixture_latency_s b ds.(i);
+          check_string (what i "decision_to_buffer") lat.(i) (Buffer.contents b))
+        reqs;
+      let _, _, total = Session.running_costs s in
+      check_string (name ^ " done record")
+        (String.concat "" (tagged "done" lines))
+        (Wire.done_to_json ~served:(Session.count s) ~total);
+      Session.close s;
+      let log ls = String.concat "" (Array.to_list (Array.map (fun l -> l ^ "\n") ls)) in
+      check_string (name ^ " wal.jsonl") (log wal)
+        (read_file (Filename.concat dir "wal.jsonl"));
+      check_string (name ^ " decisions.jsonl") (log dec)
+        (read_file (Filename.concat dir "decisions.jsonl")))
+    streams;
+  let rec cases k = function
+    | ("case", bits) :: ("dec", dec) :: ("lat", lat) :: ("done", done_) :: tl ->
+        let v = Int64.float_of_bits (Int64.of_string ("0x" ^ bits)) in
+        let d = special_decision k v in
+        check_string (bits ^ " decision") dec (Wire.decision_to_json d);
+        check_string (bits ^ " latency") lat (Wire.decision_to_json ~latency_s:v d);
+        check_string (bits ^ " done") done_ (Wire.done_to_json ~served:k ~total:v);
+        cases (k + 1) tl
+    | [] -> k
+    | (t, l) :: _ -> Alcotest.failf "unexpected floats.txt line %s %S" t l
+  in
+  check_int "floats.txt cases" 25 (cases 0 (fixture_lines "wire/floats.txt"))
+
+(* test/golden/wire/killed/ is a PD-OMFLP checkpoint on scenario 0 that
+   the fixture's generator abandoned mid-stream: a snapshot chain at 5,
+   9 durable decisions, 11 WAL lines. Resuming a copy recomputes
+   decisions 5-8, requiring each to equal its durable line byte for
+   byte, then re-emits 9 and 10. *)
+let test_wire_fixture_killed_resumes () =
+  let dec =
+    match
+      List.find_opt (fun (i, n, _) -> i = 0 && n = Pd_omflp.name) (fixture_streams ())
+    with
+    | Some (_, _, lines) -> tagged "dec" lines
+    | None -> Alcotest.fail "no PD-OMFLP stream on scenario 0"
+  in
+  let inst, seed = scenario 0 in
+  with_temp_dir @@ fun dir ->
+  Unix.mkdir dir 0o755;
+  List.iter
+    (fun f ->
+      copy_file (golden_path ("wire/killed/" ^ f)) (Filename.concat dir f))
+    [ "MANIFEST.json"; "wal.jsonl"; "decisions.jsonl"; "snapshot.bin" ];
+  let s, reemit =
+    Session.start ~algo:algo_pd ~seed ~instance_md5:md5
+      ~checkpoint:(Some (dir, 5)) ~resume:true (Instance.env inst)
+  in
+  check_int "served after resume" 11 (Session.count s);
+  Alcotest.(check (list string))
+    "re-emitted decisions" [ List.nth dec 9; List.nth dec 10 ]
+    (List.map Wire.decision_to_json reemit);
+  Session.close s;
+  Alcotest.(check (list string))
+    "decision log after resume" dec
+    (read_lines (Filename.concat dir "decisions.jsonl"))
+
+(* The Minijson reading the scanner defers to, as the request parsers
+   had it: the reference for every line, canonical or not. *)
+module Mj = Omflp_prelude.Minijson
+
+let minijson_request ~n_sites ~n_commodities json =
+  let int key = Option.bind (Mj.member key json) Mj.to_int in
+  let demand =
+    match Option.bind (Mj.member "demand" json) Mj.to_list with
+    | None -> None
+    | Some items ->
+        let es = List.filter_map Mj.to_int items in
+        if List.length es = List.length items then Some es else None
+  in
+  match (int "site", demand) with
+  | None, _ -> Error {|missing or non-integer "site"|}
+  | _, None -> Error {|missing or non-integer-list "demand"|}
+  | Some site, Some demand ->
+      if site < 0 || site >= n_sites then
+        Error (Printf.sprintf "site %d out of range [0,%d)" site n_sites)
+      else if demand = [] then Error "empty demand"
+      else if List.exists (fun e -> e < 0 || e >= n_commodities) demand then
+        Error (Printf.sprintf "demand commodity out of range [0,%d)" n_commodities)
+      else
+        Ok
+          (Request.make ~site
+             ~demand:(Omflp_commodity.Cset.of_list ~n_commodities demand))
+
+let minijson_parse line k =
+  match Mj.of_string line with
+  | exception Mj.Parse_error msg -> Error ("bad JSON: " ^ msg)
+  | json -> k json
+
+let reference_request line =
+  minijson_parse line (minijson_request ~n_sites:4 ~n_commodities:5)
+
+let reference_wal line =
+  minijson_parse line (fun json ->
+      match Option.bind (Mj.member "index" json) Mj.to_int with
+      | None -> Error {|missing or non-integer "index"|}
+      | Some index ->
+          Result.map
+            (fun r -> (index, r))
+            (minijson_request ~n_sites:4 ~n_commodities:5 json))
+
+(* Request-ish lines: the canonical shape with random whitespace, and
+   variants the scanner must hand to Minijson — reordered, repeated,
+   missing and extra keys, leading zeros, signs, fractions, exponents,
+   15-17-digit numbers, non-numbers — then sometimes truncated, with a
+   byte replaced, or with trailing bytes. Values are drawn around
+   n_sites = 4, n_commodities = 5, so both in- and out-of-range numbers
+   occur. *)
+let gen_request_line st =
+  let int n = Random.State.int st n in
+  let pick a = a.(int (Array.length a)) in
+  let ws () =
+    if int 3 = 0 then pick [| " "; "\t"; "\n"; "\r"; "  "; " \r\n\t" |] else ""
+  in
+  let num () =
+    match int 16 with
+    | 0 -> pick [| "00"; "01"; "007"; "-0"; "-1"; "+1"; "- 1" |]
+    | 1 -> pick [| "1e0"; "1.0"; "2.5"; "10E-1"; "0.0"; "1e1"; "3."; ".5"; "1e" |]
+    | 2 ->
+        pick
+          [| "100000000000000"; "999999999999999"; "1000000000000000";
+             "9007199254740991"; "9007199254740993"; "12345678901234567";
+             "00000000000000001" |]
+    | 3 -> pick [| "\"1\""; "null"; "true"; "[]"; "{}"; "[1]" |]
+    | _ -> string_of_int (int 7)
+  in
+  let list items = "[" ^ ws () ^ String.concat (ws () ^ "," ^ ws ()) items ^ ws () ^ "]" in
+  let demand () = if int 10 = 0 then num () else list (List.init (int 5) (fun _ -> num ())) in
+  let field key v = Printf.sprintf "\"%s\"%s:%s%s" key (ws ()) (ws ()) v in
+  let fields =
+    (if int 2 = 0 then [ field "index" (num ()) ] else [])
+    @ [ field "site" (num ()); field "demand" (demand ()) ]
+  in
+  let fields =
+    match int 8 with
+    | 0 -> List.rev fields
+    | 1 -> fields @ [ field "site" (num ()) ]
+    | 2 -> field (pick [| "index"; "site"; "demand" |]) (num ()) :: fields
+    | 3 -> fields @ [ field (pick [| "x"; "Site"; "sit\\u0065"; "index " |]) (num ()) ]
+    | 4 -> List.tl fields
+    | _ -> fields
+  in
+  let line =
+    ws () ^ "{" ^ ws () ^ String.concat (ws () ^ "," ^ ws ()) fields ^ ws () ^ "}" ^ ws ()
+  in
+  let n = String.length line in
+  match int 8 with
+  | 0 -> String.sub line 0 (int n)
+  | 1 ->
+      let b = Bytes.of_string line in
+      Bytes.set b (int n)
+        (pick [| '{'; '}'; '['; ']'; ','; ':'; '"'; '0'; '7'; ' '; '-'; '.'; 'e'; '\\'; 'x'; '\000' |]);
+      Bytes.to_string b
+  | 2 -> line ^ pick [| ","; "}"; "x"; " 1"; "\000" |]
+  | _ -> line
+
+let prop_scanner_matches_minijson =
+  QCheck.Test.make ~name:"scanner = Minijson on request and WAL lines"
+    ~count:5000
+    (QCheck.make ~print:(Printf.sprintf "%S") gen_request_line)
+    (fun line ->
+      Wire.parse_request ~n_sites:4 ~n_commodities:5 line = reference_request line
+      && Wire.parse_wal_line ~n_sites:4 ~n_commodities:5 line = reference_wal line)
+
+let minor_words_per_call f =
+  for _ = 1 to 64 do
+    f ()
+  done;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    f ()
+  done;
+  (Gc.minor_words () -. w0) /. 1000.0
+
+(* The direct codecs allocate little besides what they return: one
+   canonical request parse measured 46 minor words (the scan cursor,
+   the demand list and set, the request and its result; the Minijson
+   tree it replaced was about 295), one socket decision line 13 (the
+   latency string and the list iterators' closures; every number is
+   written in place). The budgets are twice that, so a per-request tree
+   or string creeping back shows. *)
+let test_wire_codec_allocation_pinned () =
+  let line = {|{"site":2,"demand":[0,1,3]}|} in
+  let parse =
+    minor_words_per_call (fun () ->
+        ignore (Wire.parse_request ~n_sites:4 ~n_commodities:5 line))
+  in
+  check_bool
+    (Printf.sprintf "%.1f minor words per request parse (budget 92)" parse)
+    true (parse <= 92.0);
+  let inst, seed = scenario 0 in
+  let session = Session.create ~algo:algo_pd ~seed (Instance.env inst) in
+  let d = handle_one session inst.Instance.requests.(0) in
+  let b = Buffer.create 256 in
+  let encode =
+    minor_words_per_call (fun () ->
+        Buffer.clear b;
+        Wire.decision_to_buffer ~latency_s:1.234e-4 b d)
+  in
+  check_bool
+    (Printf.sprintf "%.1f minor words per decision encode (budget 26)" encode)
+    true (encode <= 26.0)
+
 let () =
   Alcotest.run "serve"
     [
@@ -1831,6 +2169,13 @@ let () =
             test_wire_integers_exact_or_refused;
           Alcotest.test_case "WAL line errors are pinned" `Quick
             test_wire_wal_line_errors;
+          Alcotest.test_case "committed fixture re-encodes byte for byte"
+            `Quick test_wire_fixture_bytes;
+          Alcotest.test_case "committed killed checkpoint resumes" `Quick
+            test_wire_fixture_killed_resumes;
+          QCheck_alcotest.to_alcotest prop_scanner_matches_minijson;
+          Alcotest.test_case "codec allocation pinned" `Quick
+            test_wire_codec_allocation_pinned;
         ] );
       ( "checkpoint",
         [
