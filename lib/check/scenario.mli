@@ -53,11 +53,7 @@ val generate :
     menu) bolted on — all family draws are consumed after every
     plain-OMFLP draw, so unforced scenarios are unchanged. *)
 
-(** [golden_family ~index] is the golden-pin convention: indices 0–29
-    unforced (plain OMFLP), 30–32 non-metric, 33–35 leasing, beyond
-    unforced. *)
-val golden_family :
-  index:int -> Omflp_instance.Problem_env.Family.t option
-
-(** [golden ~master_seed ~index] draws with {!golden_family} applied. *)
+(** [golden ~master_seed ~index] draws with the golden-pin family
+    convention applied: indices 0–29 unforced (plain OMFLP), 30–32
+    forced to non-metric, 33–35 to leasing, beyond unforced. *)
 val golden : master_seed:int -> index:int -> t

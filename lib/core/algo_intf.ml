@@ -44,8 +44,12 @@ module type ALGO = sig
       [snapshot]. A fresh or freshly restored state's first segment is a
       base, the delta against the empty state, and so is any segment
       the stream decides to compact into; an algorithm without a delta
-      writer returns a base every time. Each segment carries the number
-      of requests [t] has served.
+      writer returns a base every time. Each segment covers the requests
+      [t] has served, which its store counts
+      ({!Facility_store.n_requests}). An algorithm without a delta
+      writer writes and reads its bases through {!Facility_store.base}
+      and {!Facility_store.decode_base}, which refuses a payload whose
+      trailing count disagrees with the restored store.
 
       [restore env chain] folds a chain — a base and the segments
       [snapshot] returned after it, concatenated — and revives the state

@@ -11,7 +11,10 @@ type t = {
   kind : kind;
   offered : Omflp_commodity.Cset.t;  (** the configuration as a set *)
   cost : float;  (** construction cost paid *)
-  opened_at : int;  (** index of the request whose arrival opened it *)
+  opened_at : int;
+      (** index of the request whose arrival opened it, stamped by
+          {!Facility_store.open_facility} from the store's request
+          count *)
 }
 
 (** [offered_of_kind ~n_commodities kind] expands a kind to its commodity

@@ -62,11 +62,13 @@ let push_svc t s =
   t.svc.(t.n_services) <- s;
   t.n_services <- t.n_services + 1
 
-let open_facility t ~site ~kind ~cost ~opened_at =
+let n_requests t = t.n_services
+
+let open_facility t ~site ~kind ~cost =
   if cost < 0.0 then invalid_arg "Facility_store.open_facility: negative cost";
   let offered = Facility.offered_of_kind ~n_commodities:t.n_commodities kind in
   let fac =
-    { Facility.id = t.count; site; kind; offered; cost; opened_at }
+    { Facility.id = t.count; site; kind; offered; cost; opened_at = t.n_services }
   in
   push_fac t fac;
   t.construction <- t.construction +. cost;
@@ -75,6 +77,13 @@ let open_facility t ~site ~kind ~cost ~opened_at =
 
 let facilities t = Array.to_list (Array.sub t.fac 0 t.count)
 let n_facilities t = t.count
+
+let fold_facilities f init t =
+  let acc = ref init in
+  for i = 0 to t.count - 1 do
+    acc := f !acc t.fac.(i)
+  done;
+  !acc
 
 let facility t id =
   if id < 0 || id >= t.count then raise Not_found;
@@ -160,3 +169,24 @@ let read env r =
   let t = create env ~n_commodities:(Snapshot_codec.r_int r) in
   read_new t r;
   t
+
+(* The payload's trailing count repeats the header's; it stays for the
+   bytes, and reading it back checks it against the restored store. *)
+let base ~tag t emit =
+  Snapshot_codec.base ~tag ~count:t.n_services (fun w ->
+      emit w;
+      Snapshot_codec.w_int w t.n_services)
+
+let decode_base ~tag ~store read blob =
+  Snapshot_codec.decode ~tag
+    (fun r ->
+      let state = read r in
+      let count = Snapshot_codec.r_int r in
+      let served = (store state).n_services in
+      if count <> served then
+        Printf.ksprintf failwith
+          "Facility_store.decode_base: %S payload count %d disagrees with its \
+           store, which served %d requests"
+          tag count served;
+      state)
+    blob

@@ -1,5 +1,6 @@
 (** Mutable bookkeeping shared by every online algorithm: the set of open
-    facilities, nearest-facility distance tables, and cost accounting.
+    facilities, nearest-facility distance tables, cost accounting, and
+    the request clock ({!n_requests}).
 
     Distance tables are maintained per commodity and for large facilities
     ([F(e)] and [F̂] of the paper) by an incremental {!Nearest_index}, so
@@ -20,14 +21,27 @@ val metric : t -> Omflp_metric.Finite_metric.t
     read its rows directly; all updates go through {!open_facility}. *)
 val index : t -> Nearest_index.t
 
-(** [open_facility t ~site ~kind ~cost ~opened_at] registers a facility,
-    pays its construction cost, updates the distance tables, and returns
-    the record. *)
+(** [n_requests t] is the number of requests served: the services
+    {!record_service} has stored. It is the run's one request clock.
+    Every algorithm records a request's service after the openings that
+    serve it, so while a request is being served the count is its
+    index. *)
+val n_requests : t -> int
+
+(** [open_facility t ~site ~kind ~cost] registers a facility, pays its
+    construction cost, updates the distance tables, and returns the
+    record. The facility's [opened_at] is {!n_requests}: the index of the
+    request being served. *)
 val open_facility :
-  t -> site:int -> kind:Facility.kind -> cost:float -> opened_at:int -> Facility.t
+  t -> site:int -> kind:Facility.kind -> cost:float -> Facility.t
 
 (** [facilities t] lists open facilities in opening order. *)
 val facilities : t -> Facility.t list
+
+(** [fold_facilities f init t] folds [f] over the open facilities in
+    opening order, like [List.fold_left f init (facilities t)] without
+    building the list. *)
+val fold_facilities : ('a -> Facility.t -> 'a) -> 'a -> t -> 'a
 
 val n_facilities : t -> int
 
@@ -100,3 +114,24 @@ val read :
     malformed bytes or when the facility ids do not continue the store's
     sequential ids. *)
 val read_new : t -> Omflp_prelude.Snapshot_codec.reader -> unit
+
+(** {1 Base segments}
+
+    The snapshot shell of the algorithms that write only bases. *)
+
+(** [base ~tag t emit] is a base segment covering the [n_requests t]
+    requests [t] has served: the payload [emit] writes, then that count,
+    which repeats the header's and stays only so the bytes stay. *)
+val base :
+  tag:string -> t -> (Omflp_prelude.Snapshot_codec.writer -> unit) -> string
+
+(** [decode_base ~tag ~store read chain] is the mirror of {!base}: it
+    decodes the payload with [read], then refuses, with a [Failure]
+    naming [tag], a trailing count other than [n_requests (store state)]
+    of the state [read] returned. *)
+val decode_base :
+  tag:string ->
+  store:('a -> t) ->
+  (Omflp_prelude.Snapshot_codec.reader -> 'a) ->
+  string ->
+  'a

@@ -11,7 +11,6 @@ type t = {
      commodity-set allocation per probe (same float values — the cost
      function is pure). *)
   singleton : float array array;
-  mutable n_requests : int;
 }
 
 let name = "GREEDY"
@@ -29,7 +28,6 @@ let create ?seed:_ env =
       Array.init n_commodities (fun e ->
           Array.init n_sites (fun site ->
               Cost_function.singleton_cost cost site e));
-    n_requests = 0;
   }
 
 let step t (r : Request.t) =
@@ -60,7 +58,6 @@ let step t (r : Request.t) =
       let fac =
         Facility_store.open_facility t.store ~site:r.site
           ~kind:(Facility.Custom r.demand) ~cost:option_b_cost
-          ~opened_at:t.n_requests
       in
       Service.To_single fac.Facility.id
     end
@@ -75,7 +72,7 @@ let step t (r : Request.t) =
             let fac =
               if build < connect then
                 Facility_store.open_facility t.store ~site:r.site
-                  ~kind:(Facility.Small e) ~cost:build ~opened_at:t.n_requests
+                  ~kind:(Facility.Small e) ~cost:build
               else
                 fst
                   (Option.get
@@ -89,7 +86,6 @@ let step t (r : Request.t) =
     end
   in
   Facility_store.record_service t.store ~request_site:r.site service;
-  t.n_requests <- t.n_requests + 1;
   service
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
@@ -101,16 +97,12 @@ let store t = t.store
 let snapshot_tag = "omflp.snap.greedy.v3"
 
 let snapshot t =
-  Omflp_prelude.Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests
-    (fun b ->
-      Facility_store.write b t.store;
-      Omflp_prelude.Snapshot_codec.w_int b t.n_requests)
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
+      Facility_store.write b t.store)
 
 let restore env blob =
-  Omflp_prelude.Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let t = create env in
-      let store = Facility_store.read env r in
-      let n_requests = Omflp_prelude.Snapshot_codec.r_int r in
-      { t with store; n_requests })
+      { t with store = Facility_store.read env r })
     blob

@@ -17,7 +17,6 @@ type t = {
   heavy_past : Fotakis_pd.past list array;  (** per original commodity *)
   heavy_costs : float array array;  (** [f^{e}_m] rows, heavy [e] only *)
   bids : float array;  (** heavy-step scratch *)
-  mutable n_requests : int;
 }
 
 let name = "HEAVY-AWARE"
@@ -50,7 +49,6 @@ let create_with_heavy ~heavy env =
                 Cost_function.singleton_cost cost m e)
           else [||]);
     bids = Array.make (Finite_metric.size metric) 0.0;
-    n_requests = 0;
   }
 
 let create ?seed:_ env =
@@ -58,35 +56,33 @@ let create ?seed:_ env =
 
 let heavy_set t = t.heavy
 
-(* Replay inner facilities into the outer store, translating kinds back to
-   the full universe. A light-side "large" facility offers exactly the
-   light set. *)
+(* Replay the inner facilities opened since the last call into the outer
+   store, translating kinds back to the full universe. A light-side
+   "large" facility offers exactly the light set. *)
 let mirror_inner t =
   let k = Cset.n_commodities t.light in
-  List.iteri
-    (fun idx (f : Facility.t) ->
-      if idx >= t.inner_mirrored then begin
-        let kind =
-          match f.kind with
-          | Facility.Small e' -> Facility.Small t.light_map.(e')
-          | Facility.Large ->
-              if Cset.cardinal t.light = k then Facility.Large
-              else Facility.Custom t.light
-          | Facility.Custom sigma' ->
-              Facility.Custom
-                (Cset.fold
-                   (fun e' acc -> Cset.add acc t.light_map.(e'))
-                   sigma'
-                   (Cset.empty ~n_commodities:k))
-        in
-        let outer =
-          Facility_store.open_facility t.store ~site:f.site ~kind ~cost:f.cost
-            ~opened_at:t.n_requests
-        in
-        Hashtbl.replace t.fid_map f.id outer.Facility.id;
-        t.inner_mirrored <- t.inner_mirrored + 1
-      end)
-    (Facility_store.facilities (Pd_omflp.store t.inner))
+  let inner = Pd_omflp.store t.inner in
+  for id = t.inner_mirrored to Facility_store.n_facilities inner - 1 do
+    let f = Facility_store.facility inner id in
+    let kind =
+      match f.kind with
+      | Facility.Small e' -> Facility.Small t.light_map.(e')
+      | Facility.Large ->
+          if Cset.cardinal t.light = k then Facility.Large
+          else Facility.Custom t.light
+      | Facility.Custom sigma' ->
+          Facility.Custom
+            (Cset.fold
+               (fun e' acc -> Cset.add acc t.light_map.(e'))
+               sigma'
+               (Cset.empty ~n_commodities:k))
+    in
+    let outer =
+      Facility_store.open_facility t.store ~site:f.site ~kind ~cost:f.cost
+    in
+    Hashtbl.replace t.fid_map id outer.Facility.id;
+    t.inner_mirrored <- id + 1
+  done
 
 let step t (r : Request.t) =
   let light_demand = Cset.inter r.demand t.light in
@@ -125,8 +121,7 @@ let step t (r : Request.t) =
     List.map
       (fun e ->
         Indep_baseline.serve_commodity t.store ~bids:t.bids
-          ~opening:t.heavy_costs.(e) ~past:t.heavy_past
-          ~opened_at:t.n_requests ~site:r.site e)
+          ~opening:t.heavy_costs.(e) ~past:t.heavy_past ~site:r.site e)
       (Cset.elements heavy_demand)
   in
   let service =
@@ -135,7 +130,6 @@ let step t (r : Request.t) =
     | _ -> Service.Per_commodity (light_pairs @ heavy_pairs)
   in
   Facility_store.record_service t.store ~request_site:r.site service;
-  t.n_requests <- t.n_requests + 1;
   service
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
@@ -151,7 +145,7 @@ let store t = t.store
 let snapshot_tag = "omflp.snap.heavy-aware.v4"
 
 let snapshot t =
-  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
       Cset.write b t.heavy;
       Pd_omflp.write b t.inner;
       Facility_store.write b t.store;
@@ -166,11 +160,10 @@ let snapshot t =
         b fid_pairs;
       Snapshot_codec.w_int b t.inner_mirrored;
       Snapshot_codec.w_array (Snapshot_codec.w_list Fotakis_pd.w_past) b
-        t.heavy_past;
-      Snapshot_codec.w_int b t.n_requests)
+        t.heavy_past)
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let z_heavy = Cset.read r in
       let t = create_with_heavy ~heavy:z_heavy env in
@@ -189,16 +182,9 @@ let restore env blob =
       let z_heavy_past =
         Snapshot_codec.r_array (Snapshot_codec.r_list Fotakis_pd.r_past) r
       in
-      let z_n_requests = Snapshot_codec.r_int r in
       List.iter (fun (k, v) -> Hashtbl.replace t.fid_map k v) z_fid_map;
       if Array.length z_heavy_past <> Array.length t.heavy_past then
         failwith "Heavy_aware.restore: commodity count mismatch";
       Array.blit z_heavy_past 0 t.heavy_past 0 (Array.length t.heavy_past);
-      {
-        t with
-        inner;
-        store;
-        inner_mirrored = z_inner_mirrored;
-        n_requests = z_n_requests;
-      })
+      { t with inner; store; inner_mirrored = z_inner_mirrored })
     blob

@@ -13,7 +13,6 @@ type t = {
      first demand; bids is per-serve scratch. *)
   f3 : float array option array;
   bids : float array;
-  mutable n_requests : int;
 }
 
 let name = "INDEP"
@@ -29,7 +28,6 @@ let create ?seed:_ env =
     past = Array.make n_commodities [];
     f3 = Array.make n_commodities None;
     bids = Array.make (Finite_metric.size metric) 0.0;
-    n_requests = 0;
   }
 
 let f3_row t e =
@@ -46,7 +44,7 @@ let f3_row t e =
 (* One Fotakis primal–dual step for commodity [e]: the request either
    connects at the nearest facility offering [e] or its bid completes the
    payment of a small facility {e} at some site. *)
-let serve_commodity store ~bids ~opening ~past ~opened_at ~site e =
+let serve_commodity store ~bids ~opening ~past ~site e =
   let opened, p =
     Fotakis_pd.event (Facility_store.metric store) ~bids ~opening
       ~dist_to_served:(fun from ->
@@ -57,7 +55,7 @@ let serve_commodity store ~bids ~opening ~past ~opened_at ~site e =
     (fun m ->
       ignore
         (Facility_store.open_facility store ~site:m ~kind:(Facility.Small e)
-           ~cost:opening.(m) ~opened_at))
+           ~cost:opening.(m)))
     opened;
   past.(e) <- p :: past.(e);
   let fac, _ =
@@ -70,12 +68,11 @@ let step t (r : Request.t) =
     List.map
       (fun e ->
         serve_commodity t.store ~bids:t.bids ~opening:(f3_row t e)
-          ~past:t.past ~opened_at:t.n_requests ~site:r.site e)
+          ~past:t.past ~site:r.site e)
       (Cset.elements r.demand)
   in
   let service = Service.Per_commodity pairs in
   Facility_store.record_service t.store ~request_site:r.site service;
-  t.n_requests <- t.n_requests + 1;
   service
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
@@ -87,22 +84,20 @@ let store t = t.store
 let snapshot_tag = "omflp.snap.indep.v3"
 
 let snapshot t =
-  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
       Snapshot_codec.w_array (Snapshot_codec.w_list Fotakis_pd.w_past) b t.past;
-      Facility_store.write b t.store;
-      Snapshot_codec.w_int b t.n_requests)
+      Facility_store.write b t.store)
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let z_past =
         Snapshot_codec.r_array (Snapshot_codec.r_list Fotakis_pd.r_past) r
       in
       let t = create env in
       let store = Facility_store.read env r in
-      let n_requests = Snapshot_codec.r_int r in
       if Array.length z_past <> Array.length t.past then
         failwith "Indep_baseline.restore: commodity count mismatch";
       Array.blit z_past 0 t.past 0 (Array.length t.past);
-      { t with store; n_requests })
+      { t with store })
     blob

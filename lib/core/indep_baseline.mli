@@ -13,17 +13,17 @@ val create : ?seed:int -> Omflp_instance.Problem_env.t -> t
 
 val step : t -> Omflp_instance.Request.t -> Service.t
 
-(** [serve_commodity store ~bids ~opening ~past ~opened_at ~site e] serves
-    commodity [e] at [site] by one {!Omflp_ofl.Fotakis_pd.event} on the
-    history [past.(e)], opening small facilities [{e}] in [store]; it
-    returns [(e, id)] of the serving facility. HEAVY-AWARE serves its
-    heavy commodities through it. *)
+(** [serve_commodity store ~bids ~opening ~past ~site e] serves commodity
+    [e] at [site] by one {!Omflp_ofl.Fotakis_pd.event} on the history
+    [past.(e)], opening small facilities [{e}] in [store], which stamps
+    them with the index of the request being served; it returns
+    [(e, id)] of the serving facility. HEAVY-AWARE serves its heavy
+    commodities through it. *)
 val serve_commodity :
   Facility_store.t ->
   bids:float array ->
   opening:float array ->
   past:Omflp_ofl.Fotakis_pd.past list array ->
-  opened_at:int ->
   site:int ->
   int ->
   int * int

@@ -33,7 +33,6 @@ type t = {
   n_sites : int;
   f3 : float array array; (* f3.(e).(m) = f^{{e}}_m *)
   past : past list array; (* per commodity, newest first *)
-  mutable n_requests : int;
 }
 
 let name = "LEASE-PD"
@@ -58,7 +57,6 @@ let create ?seed:_ env =
       Array.init s (fun e ->
           Array.init n_sites (fun m -> Cost_function.singleton_cost cost m e));
     past = Array.make s [];
-    n_requests = 0;
   }
 
 (* A facility's lease duration, recovered from its construction cost.
@@ -80,7 +78,7 @@ let live t (f : Facility.t) ~now =
 (* Cheapest live lease offering [e] for a request at [site]; ties go to
    the earliest opening. *)
 let best_live t ~commodity ~site ~now =
-  List.fold_left
+  Facility_store.fold_facilities
     (fun acc (f : Facility.t) ->
       if Cset.mem f.Facility.offered commodity && live t f ~now then
         let c = Finite_metric.dist t.metric site f.Facility.site in
@@ -88,11 +86,10 @@ let best_live t ~commodity ~site ~now =
         | Some (_, best) when best <= c -> acc
         | _ -> Some (f.Facility.id, c)
       else acc)
-    None
-    (Facility_store.facilities t.store)
+    None t.store
 
 let serve_commodity t ~site e =
-  let now = t.n_requests in
+  let now = Facility_store.n_requests t.store in
   let connect_at =
     match best_live t ~commodity:e ~site ~now with
     | Some (_, c) -> c
@@ -132,8 +129,7 @@ let serve_commodity t ~site e =
     ignore
       (Facility_store.open_facility t.store ~site:!best_site
          ~kind:(Facility.Small e)
-         ~cost:(t.factors.(!best_kind) *. f3e.(!best_site))
-         ~opened_at:now);
+         ~cost:(t.factors.(!best_kind) *. f3e.(!best_site)));
   t.past.(e) <- { site; dual; time = now } :: t.past.(e);
   match best_live t ~commodity:e ~site ~now with
   | Some (id, _) -> (e, id)
@@ -146,13 +142,13 @@ let step t (r : Request.t) =
   in
   let service = Service.Per_commodity pairs in
   Facility_store.record_service t.store ~request_site:r.Request.site service;
-  t.n_requests <- t.n_requests + 1;
   service
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
 let store t = t.store
 
-(* Persisted: the windowed dual history, the store, and the clock. *)
+(* Persisted: the windowed dual history and the store, whose request
+   count is the clock. *)
 
 let snapshot_tag = "omflp.snap.lease-pd.v3"
 
@@ -168,20 +164,18 @@ let r_past r =
   { site; dual; time }
 
 let snapshot t =
-  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
       Snapshot_codec.w_array (Snapshot_codec.w_list w_past) b t.past;
-      Facility_store.write b t.store;
-      Snapshot_codec.w_int b t.n_requests)
+      Facility_store.write b t.store)
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let z_past = Snapshot_codec.r_array (Snapshot_codec.r_list r_past) r in
       let t = create env in
       let store = Facility_store.read env r in
-      let n_requests = Snapshot_codec.r_int r in
       if Array.length z_past <> t.s then
         failwith "Lease_pd.restore: commodity count mismatch";
       Array.blit z_past 0 t.past 0 t.s;
-      { t with store; n_requests })
+      { t with store })
     blob

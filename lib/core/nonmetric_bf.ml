@@ -29,7 +29,6 @@ type t = {
   f3 : float array array; (* f3.(e).(m) = f^{{e}}_m *)
   x : float array array; (* fractional openings, s × n_sites *)
   opened : bool array array; (* Small-e facility already at m? s × n_sites *)
-  mutable n_requests : int;
 }
 
 let name = "NONMETRIC-BF"
@@ -51,14 +50,13 @@ let create ?seed:_ env =
           Array.init n_sites (fun m -> Cost_function.singleton_cost cost m e));
     x = Array.make_matrix s n_sites 0.0;
     opened = Array.make_matrix s n_sites false;
-    n_requests = 0;
   }
 
 (* Cheapest open facility offering [e] for a request at [site]: minimal
    connection cost, ties to the earliest opening. Linear scan — no
    triangle inequality, so no index can answer this. *)
 let best_open t ~commodity ~site =
-  List.fold_left
+  Facility_store.fold_facilities
     (fun acc (f : Facility.t) ->
       if Cset.mem f.Facility.offered commodity then
         let c = t.conn.(f.Facility.site).(site) in
@@ -66,8 +64,7 @@ let best_open t ~commodity ~site =
         | Some (_, best) when best <= c -> acc
         | _ -> Some (f.Facility.id, c)
       else acc)
-    None
-    (Facility_store.facilities t.store)
+    None t.store
 
 let fractional_round t ~site e =
   let xs = t.x.(e) and f3e = t.f3.(e) in
@@ -94,7 +91,7 @@ let fractional_round t ~site e =
       t.opened.(e).(m) <- true;
       ignore
         (Facility_store.open_facility t.store ~site:m ~kind:(Facility.Small e)
-           ~cost:f3e.(m) ~opened_at:t.n_requests)
+           ~cost:f3e.(m))
     end
   done
 
@@ -141,15 +138,13 @@ let cover_remaining t ~site uncovered =
               t.opened.(e).(m) <- true;
               ignore
                 (Facility_store.open_facility t.store ~site:m
-                   ~kind:(Facility.Small e) ~cost:t.f3.(e).(m)
-                   ~opened_at:t.n_requests)
+                   ~kind:(Facility.Small e) ~cost:t.f3.(e).(m))
             end
         | `Bundle sigma ->
             ignore
               (Facility_store.open_facility t.store ~site:m
                  ~kind:(Facility.Custom sigma)
-                 ~cost:(Cost_function.eval t.cost m sigma)
-                 ~opened_at:t.n_requests))
+                 ~cost:(Cost_function.eval t.cost m sigma)))
       (List.sort compare picks)
   end
 
@@ -173,30 +168,27 @@ let step t (r : Request.t) =
   in
   let service = Service.Per_commodity pairs in
   Facility_store.record_service t.store ~request_site:site service;
-  t.n_requests <- t.n_requests + 1;
   service
 
 let run_so_far t = Run.of_store ~algorithm:name t.store
 let store t = t.store
 
-(* Persisted: the fractional matrix, the store, and the clock. The
-   [opened] flags are a pure function of the store and are rebuilt. *)
+(* Persisted: the fractional matrix and the store. The [opened] flags are
+   a pure function of the store and are rebuilt. *)
 
 let snapshot_tag = "omflp.snap.nonmetric-bf.v3"
 
 let snapshot t =
-  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
       Snapshot_codec.w_array Snapshot_codec.w_float_array b t.x;
-      Facility_store.write b t.store;
-      Snapshot_codec.w_int b t.n_requests)
+      Facility_store.write b t.store)
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let z_x = Snapshot_codec.r_array Snapshot_codec.r_float_array r in
       let t = create env in
       let store = Facility_store.read env r in
-      let n_requests = Snapshot_codec.r_int r in
       if Array.length z_x <> t.s then
         failwith "Nonmetric_bf.restore: commodity count mismatch";
       Array.iteri
@@ -205,7 +197,7 @@ let restore env blob =
             failwith "Nonmetric_bf.restore: site count mismatch";
           Array.blit row 0 t.x.(e) 0 t.n_sites)
         z_x;
-      let t = { t with store; n_requests } in
+      let t = { t with store } in
       List.iter
         (fun (f : Facility.t) ->
           match f.Facility.kind with

@@ -40,7 +40,6 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
     store : Facility_store.t;
     seed : int option;
     slots : slot option array;
-    mutable n_requests : int;
   }
 
   let name = S.name
@@ -56,7 +55,6 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
           ~n_commodities:(Cost_function.n_commodities cost);
       seed;
       slots = Array.make (Cost_function.n_commodities cost) None;
-      n_requests = 0;
     }
 
   let singleton_costs t e =
@@ -88,7 +86,7 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
       (fun site ->
         ignore
           (Facility_store.open_facility t.store ~site ~kind:(Facility.Small e)
-             ~cost:s.costs.(site) ~opened_at:t.n_requests))
+             ~cost:s.costs.(site)))
       fresh;
     s.mirrored <- s.mirrored + List.length fresh
 
@@ -109,7 +107,6 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
       r.demand;
     let service = Service.Per_commodity (List.rev !pairs_rev) in
     Facility_store.record_service t.store ~request_site:r.site service;
-    t.n_requests <- t.n_requests + 1;
     service
 
   let run_so_far t = Run.of_store ~algorithm:name t.store
@@ -123,18 +120,17 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
   let snapshot_tag = "omflp.snap.ofl-adapter." ^ S.name ^ ".v3"
 
   let snapshot t =
-    Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+    Facility_store.base ~tag:snapshot_tag t.store (fun b ->
         Snapshot_codec.w_opt Snapshot_codec.w_int b t.seed;
         Facility_store.write b t.store;
         Snapshot_codec.w_array
           (Snapshot_codec.w_opt (fun b s ->
                S.A.write_state b s.ofl;
                Snapshot_codec.w_int b s.mirrored))
-          b t.slots;
-        Snapshot_codec.w_int b t.n_requests)
+          b t.slots)
 
   let restore env blob =
-    Snapshot_codec.decode ~tag:snapshot_tag
+    Facility_store.decode_base ~tag:snapshot_tag ~store
       (fun r ->
         let z_seed = Snapshot_codec.r_opt Snapshot_codec.r_int r in
         let t = create ?seed:z_seed env in
@@ -156,8 +152,7 @@ module Make (S : OFL_SPEC) : Algo_intf.ALGO = struct
                   { ofl; costs; mirrored })
                 r)
           t.slots;
-        let z_n_requests = Snapshot_codec.r_int r in
-        { t with store; n_requests = z_n_requests })
+        { t with store })
       blob
 end
 

@@ -248,10 +248,7 @@ let open_facility t ~site ~kind =
     | Facility.Large -> t.f4.(site)
     | Facility.Custom sigma -> Cost_function.eval t.cost site sigma
   in
-  let fac =
-    Facility_store.open_facility t.store ~site ~kind ~cost
-      ~opened_at:t.n_past
-  in
+  let fac = Facility_store.open_facility t.store ~site ~kind ~cost in
   Metrics.incr m_facilities_opened;
   note_facility_opened t fac;
   fac

@@ -21,7 +21,6 @@ type t = {
   classes : Cost_classes.t;
   rng : Splitmix.t;
   store : Facility_store.t;
-  mutable n_requests : int;
 }
 
 let name = "RAND-OMFLP"
@@ -37,7 +36,6 @@ let create ?(seed = 0x52414e44) env =
     store =
       Facility_store.create env
         ~n_commodities:(Cost_function.n_commodities cost);
-    n_requests = 0;
   }
 
 (* Cumulative-minimum distances D_i = min_{j<=i} d(class_j, r) and, per
@@ -102,8 +100,7 @@ let step t (r : Request.t) =
             Metrics.incr m_facilities_opened;
             ignore
               (Facility_store.open_facility t.store ~site ~kind:(Facility.Small e)
-                 ~cost:(Cost_function.singleton_cost t.cost site e)
-                 ~opened_at:t.n_requests)
+                 ~cost:(Cost_function.singleton_cost t.cost site e))
           in
           if cls.cost = 0.0 then begin
             (* Free class: build when it beats every open facility (the
@@ -132,8 +129,7 @@ let step t (r : Request.t) =
         Metrics.incr m_facilities_opened;
         ignore
           (Facility_store.open_facility t.store ~site ~kind:Facility.Large
-             ~cost:(Cost_function.full_cost t.cost site)
-             ~opened_at:t.n_requests)
+             ~cost:(Cost_function.full_cost t.cost site))
       in
       if cls.cost = 0.0 then begin
         if all_cum.(ci) < Facility_store.dist_large t.store ~from:r.site then
@@ -170,8 +166,7 @@ let step t (r : Request.t) =
         Metrics.incr m_facilities_opened;
         ignore
           (Facility_store.open_facility t.store ~site ~kind:(Facility.Small e)
-             ~cost:(Cost_function.singleton_cost t.cost site e)
-             ~opened_at:t.n_requests)
+             ~cost:(Cost_function.singleton_cost t.cost site e))
       end)
     es;
   (* Connect to the cheaper of: per-commodity nearest facilities (distinct
@@ -200,7 +195,6 @@ let step t (r : Request.t) =
     | _ -> option_a
   in
   Facility_store.record_service t.store ~request_site:r.site service;
-  t.n_requests <- t.n_requests + 1;
   Metrics.incr m_requests;
   service
 
@@ -218,17 +212,14 @@ let store t = t.store
 let snapshot_tag = "omflp.snap.rand-omflp.v3"
 
 let snapshot t =
-  Snapshot_codec.base ~tag:snapshot_tag ~count:t.n_requests (fun b ->
+  Facility_store.base ~tag:snapshot_tag t.store (fun b ->
       Snapshot_codec.w_i64 b (Splitmix.state t.rng);
-      Facility_store.write b t.store;
-      Snapshot_codec.w_int b t.n_requests)
+      Facility_store.write b t.store)
 
 let restore env blob =
-  Snapshot_codec.decode ~tag:snapshot_tag
+  Facility_store.decode_base ~tag:snapshot_tag ~store
     (fun r ->
       let rng = Snapshot_codec.r_i64 r in
       let t = create env in
-      let store = Facility_store.read env r in
-      let n_requests = Snapshot_codec.r_int r in
-      { t with rng = Splitmix.create rng; store; n_requests })
+      { t with rng = Splitmix.create rng; store = Facility_store.read env r })
     blob

@@ -24,8 +24,6 @@ let make ~c bs =
 let n t = Array.length t.bs
 let c t = t.c
 
-let b_set t i = t.bs.(i)
-
 let prefix_set ~n i =
   (* {0, ..., i-1} as a bitset over universe n. *)
   let s = ref (Bitset.create n) in

@@ -22,9 +22,6 @@ val make : c:float -> Omflp_prelude.Bitset.t array -> t
 val n : t -> int
 val c : t -> float
 
-(** [b_set t i] is [B_i]. *)
-val b_set : t -> int -> Omflp_prelude.Bitset.t
-
 (** [a_set t i] is [A_i = {0, ..., i-1} ∖ B_i]. *)
 val a_set : t -> int -> Omflp_prelude.Bitset.t
 

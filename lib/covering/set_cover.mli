@@ -22,6 +22,3 @@ val greedy_partial : target:Bitset.t -> set array -> int list * float
 (** [exact ~universe sets] finds a minimum-weight cover via DP over element
     masks. Universe limited to 20. Returns chosen indices and weight. *)
 val exact : universe:int -> set array -> int list * float
-
-(** [exact_partial ~target sets] as {!exact} for a subset target. *)
-val exact_partial : target:Bitset.t -> set array -> int list * float

@@ -2,7 +2,6 @@ type value = Int of int | Float of float | String of string | Bool of bool
 
 type t = {
   oc : out_channel;
-  owns_channel : bool;  (* close the fd on [close], not just flush *)
   (* Single-writer lock: concurrent sessions on different domains share
      one sink, and an unserialized [output]+[flush] pair interleaves —
      torn JSONL lines — while the unguarded [seq] bump duplicates
@@ -12,15 +11,13 @@ type t = {
   mutable seq : int;
 }
 
-let to_channel oc = { oc; owns_channel = false; mutex = Mutex.create (); seq = 0 }
-
 (* Append, never truncate: a resumed session (or a second sink on the
    same path) must extend the event log, not silently clobber it. *)
 let open_file path =
   let oc =
     open_out_gen [ Open_wronly; Open_append; Open_creat ] 0o644 path
   in
-  { oc; owns_channel = true; mutex = Mutex.create (); seq = 0 }
+  { oc; mutex = Mutex.create (); seq = 0 }
 
 let escape_into buf s =
   String.iter
@@ -74,9 +71,7 @@ let emit t ~kind fields =
          before dying. *)
       flush t.oc)
 
-let close t =
-  flush t.oc;
-  if t.owns_channel then close_out t.oc
+let close t = close_out t.oc
 
 (* ---------- global current sink ---------- *)
 

@@ -15,10 +15,6 @@ type value =
   | String of string
   | Bool of bool
 
-(** [to_channel oc] wraps an existing channel; {!close} flushes but does
-    not close it. *)
-val to_channel : out_channel -> t
-
 (** [open_file path] opens [path] in {e append} mode (creating it when
     missing), so resumed sessions — and any two sinks pointed at one
     path — extend the event log instead of truncating each other;

@@ -29,11 +29,15 @@ let mem t i =
 
 let copy t = { t with words = Array.copy t.words }
 
-let add t i =
+(* In place: only for sets under construction, before anyone sees them. *)
+let set_bit t i =
   check_index t i;
+  t.words.(i / bits_per_word) <-
+    t.words.(i / bits_per_word) lor (1 lsl (i mod bits_per_word))
+
+let add t i =
   let t' = copy t in
-  t'.words.(i / bits_per_word) <-
-    t'.words.(i / bits_per_word) lor (1 lsl (i mod bits_per_word));
+  set_bit t' i;
   t'
 
 let remove t i =
@@ -43,7 +47,10 @@ let remove t i =
     t'.words.(i / bits_per_word) land lnot (1 lsl (i mod bits_per_word));
   t'
 
-let singleton universe i = add (create universe) i
+let singleton universe i =
+  let t = create universe in
+  set_bit t i;
+  t
 
 (* Mask of valid bits in the last word, so [complement] and [full] never set
    phantom bits beyond the universe. *)
@@ -119,7 +126,16 @@ let fold f t init =
 
 let elements t = List.rev (fold (fun i acc -> i :: acc) t [])
 
-let of_list universe is = List.fold_left add (create universe) is
+let rec set_bits t = function
+  | [] -> ()
+  | i :: is ->
+      set_bit t i;
+      set_bits t is
+
+let of_list universe is =
+  let t = create universe in
+  set_bits t is;
+  t
 
 let choose t =
   let exception Found of int in

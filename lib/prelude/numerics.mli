@@ -19,9 +19,6 @@ val kahan_sum : float array -> float
     (exact summation for small n, asymptotic expansion beyond 10⁶). *)
 val harmonic : int -> float
 
-(** [log2 x] is the base-2 logarithm. *)
-val log2 : float -> float
-
 (** [floor_pow2 x] rounds a positive float down to the nearest power of two
     (including negative powers). Raises [Invalid_argument] on
     non-positive input. *)

@@ -1,10 +1,5 @@
 let uniform_float rng ~lo ~hi = lo +. ((hi -. lo) *. Splitmix.float rng)
 
-let exponential rng ~rate =
-  if rate <= 0.0 then invalid_arg "Sampler.exponential: rate must be positive";
-  let u = 1.0 -. Splitmix.float rng in
-  -.log u /. rate
-
 let gaussian rng ~mean ~stddev =
   let u1 = 1.0 -. Splitmix.float rng in
   let u2 = Splitmix.float rng in

@@ -6,9 +6,6 @@
 (** [uniform_float rng ~lo ~hi] is uniform on [[lo, hi)]. *)
 val uniform_float : Splitmix.t -> lo:float -> hi:float -> float
 
-(** [exponential rng ~rate] draws from Exp(rate). *)
-val exponential : Splitmix.t -> rate:float -> float
-
 (** [gaussian rng ~mean ~stddev] draws from N(mean, stddev²)
     (Box–Muller). *)
 val gaussian : Splitmix.t -> mean:float -> stddev:float -> float

@@ -59,6 +59,3 @@ let geometric_mean xs =
       if x <= 0.0 then invalid_arg "Stats.geometric_mean: non-positive entry")
     xs;
   exp (mean (Array.map log xs))
-
-let pp_summary ppf s =
-  Format.fprintf ppf "%.4g ± %.2g [%.4g, %.4g]" s.mean s.stddev s.min s.max

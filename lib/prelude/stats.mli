@@ -27,6 +27,3 @@ val ci95 : float array -> float
 
 (** [geometric_mean xs] for positive entries. *)
 val geometric_mean : float array -> float
-
-(** [pp_summary] renders ["mean ± stddev [min, max]"]. *)
-val pp_summary : Format.formatter -> summary -> unit

@@ -6,13 +6,10 @@ open Omflp_obs
 type state = State : (module Algo_intf.ALGO with type t = 'a) * 'a -> state
 
 type t = {
-  env : Problem_env.t;
   state : state;
   checkpoint : Checkpoint.t option;
-  mutable count : int;
   mutable snapshot_count : int;
       (* count the last snapshot this session wrote covers; -1 none *)
-  mutable n_facilities_seen : int;
   (* Reused per-session scratch for batched WAL/decision appends; a
      session is stepped by the one loop that owns its connection, so no
      lock. *)
@@ -28,7 +25,9 @@ let step_t = Metrics.timer "serve.step"
 
 let fail fmt = Printf.ksprintf failwith fmt
 
-let count t = t.count
+let count t =
+  match t.state with
+  | State ((module A), st) -> Facility_store.n_requests (A.store st)
 
 let running_costs t =
   match t.state with
@@ -49,14 +48,10 @@ let create ~algo ?seed ?checkpoint env =
   (* Family capability check up front: a mismatched algorithm must refuse
      at session open, never crash mid-run. *)
   Problem_env.require ~algo:A.name ~family:A.family env;
-  let st = A.create ?seed env in
   {
-    env;
-    state = State ((module A), st);
+    state = State ((module A), A.create ?seed env);
     checkpoint;
-    count = 0;
     snapshot_count = -1;
-    n_facilities_seen = 0;
     wal_buf = Buffer.create 256;
     dec_buf = Buffer.create 1024;
   }
@@ -66,34 +61,30 @@ let create ~algo ?seed ?checkpoint env =
 let step_only t (r : Request.t) =
   match t.state with
   | State ((module A), st) ->
+      let store = A.store st in
+      let index = Facility_store.n_requests store in
+      let seen = Facility_store.n_facilities store in
       let t0 = Metrics.now () in
       let service = A.step st r in
       Metrics.record_span step_t (Metrics.now () -. t0);
-      let store = A.store st in
-      let n_fac = Facility_store.n_facilities store in
       let opened =
-        List.init (n_fac - t.n_facilities_seen) (fun i ->
-            Facility_store.facility store (t.n_facilities_seen + i))
+        List.init (Facility_store.n_facilities store - seen) (fun i ->
+            Facility_store.facility store (seen + i))
       in
-      let d =
-        {
-          Wire.index = t.count;
-          site = r.site;
-          demand = Cset.elements r.demand;
-          service;
-          opened;
-          construction = Facility_store.construction_cost store;
-          assignment = Facility_store.assignment_cost store;
-          total = Facility_store.total_cost store;
-        }
-      in
-      t.n_facilities_seen <- n_fac;
-      t.count <- t.count + 1;
-      d
+      {
+        Wire.index;
+        site = r.site;
+        demand = Cset.elements r.demand;
+        service;
+        opened;
+        construction = Facility_store.construction_cost store;
+        assignment = Facility_store.assignment_cost store;
+        total = Facility_store.total_cost store;
+      }
 
 (* The state's next snapshot segment, with the count it covers. *)
 let encode_snapshot t =
-  match t.state with State ((module A), st) -> (t.count, A.snapshot st)
+  match t.state with State ((module A), st) -> (count t, A.snapshot st)
 
 let write_snapshot t cp (count, segment) =
   Checkpoint.write_snapshot cp ~count segment;
@@ -136,9 +127,10 @@ let handle_batch t (reqs : Request.t array) =
     (match t.checkpoint with
     | Some cp ->
         Buffer.clear t.wal_buf;
+        let first = count t in
         Array.iteri
           (fun i r ->
-            Wire.request_to_buffer ~index:(t.count + i) t.wal_buf r;
+            Wire.request_to_buffer ~index:(first + i) t.wal_buf r;
             Buffer.add_char t.wal_buf '\n')
           reqs;
         Checkpoint.append_wal_batch cp t.wal_buf
@@ -158,7 +150,7 @@ let handle_batch t (reqs : Request.t array) =
            (match t.checkpoint with
            | Some cp ->
                log_decision t d;
-               if t.count mod Checkpoint.snapshot_every cp = 0 then
+               if count t mod Checkpoint.snapshot_every cp = 0 then
                  segments_rev := encode_snapshot t :: !segments_rev
            | None -> ());
            if Trace_sink.installed () then
@@ -186,23 +178,29 @@ let resume ~algo (rz : Checkpoint.resume) env =
       (Checkpoint.algo rz.cp) A.name;
   Problem_env.require ~algo:A.name ~family:A.family env;
   Metrics.incr resume_c;
-  let start, st =
+  let st =
     match rz.snapshot with
-    | Some (c, blob) -> (c, A.restore env blob)
-    | None -> (0, A.create ?seed:(Checkpoint.seed rz.cp) env)
+    | Some (covered, blob) ->
+        let st = A.restore env blob in
+        let served = Facility_store.n_requests (A.store st) in
+        if served <> covered then
+          fail
+            "Session.resume: the snapshot header covers %d requests but the \
+             state it restores served %d"
+            covered served;
+        st
+    | None -> A.create ?seed:(Checkpoint.seed rz.cp) env
   in
   let t =
     {
-      env;
       state = State ((module A), st);
       checkpoint = Some rz.cp;
-      count = start;
       snapshot_count = -1;
-      n_facilities_seen = Facility_store.n_facilities (A.store st);
       wal_buf = Buffer.create 256;
       dec_buf = Buffer.create 1024;
     }
   in
+  let start = count t in
   (* Replay the WAL suffix the snapshot does not cover. Decisions already
      durable (index < n_decisions) are recomputed and cross-checked byte
      for byte against the durable log — a snapshot that restores into a
@@ -218,9 +216,9 @@ let resume ~algo (rz : Checkpoint.resume) env =
   List.iter
     (fun (idx, r) ->
       if idx >= start then begin
-        if idx <> t.count then
+        if idx <> count t then
           fail "Session.resume: WAL replay out of order (at %d, expected %d)"
-            idx t.count;
+            idx (count t);
         Metrics.incr replayed_c;
         let d = step_only t r in
         if d.Wire.index < rz.n_decisions then begin
@@ -243,7 +241,7 @@ let resume ~algo (rz : Checkpoint.resume) env =
   Trace_sink.emit_current ~kind:"serve.resume"
     [
       ("start", Trace_sink.Int start);
-      ("replayed", Trace_sink.Int (t.count - start));
+      ("replayed", Trace_sink.Int (count t - start));
       ("reemitted", Trace_sink.Int (List.length !reemitted));
     ];
   (t, List.rev !reemitted)
@@ -279,5 +277,5 @@ let close t =
       Fun.protect
         ~finally:(fun () -> Checkpoint.close cp)
         (fun () ->
-          if t.snapshot_count <> t.count then
+          if t.snapshot_count <> count t then
             write_snapshot t cp (encode_snapshot t))

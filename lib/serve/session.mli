@@ -48,7 +48,9 @@ val handle_batch :
 
 (** [resume ~algo rz env] revives a session from what
     {!Checkpoint.open_resume} found and replays the uncovered WAL
-    suffix. Every recomputed decision that is already durable is
+    suffix. A snapshot whose header covers a different number of
+    requests than the state it restores has served is refused with a
+    named [Failure]. Every recomputed decision that is already durable is
     cross-checked byte for byte against the durable log; a mismatch —
     a snapshot that does not reproduce the state that emitted the log —
     raises [Failure] instead of silently contradicting what the client
@@ -86,7 +88,9 @@ val start :
   Omflp_instance.Problem_env.t ->
   t * Wire.decision list
 
-(** [count t] is the number of requests served (including replayed). *)
+(** [count t] is the number of requests served, replayed ones included:
+    the request count of the algorithm's store
+    ({!Omflp_core.Facility_store.n_requests}). *)
 val count : t -> int
 
 (** [running_costs t] is (construction, assignment, total) so far. *)

@@ -77,7 +77,7 @@ let test_store_small_facility () =
   let store = mk_store () in
   let f =
     Facility_store.open_facility store ~site:1 ~kind:(Facility.Small 0)
-      ~cost:2.0 ~opened_at:0
+      ~cost:2.0
   in
   check_int "id" 0 f.Facility.id;
   check_float 1e-9 "dist from 0" 2.0
@@ -92,8 +92,7 @@ let test_store_small_facility () =
 let test_store_large_facility () =
   let store = mk_store () in
   ignore
-    (Facility_store.open_facility store ~site:2 ~kind:Facility.Large ~cost:4.0
-       ~opened_at:0);
+    (Facility_store.open_facility store ~site:2 ~kind:Facility.Large ~cost:4.0);
   for e = 0 to 2 do
     check_float 1e-9
       (Printf.sprintf "commodity %d" e)
@@ -106,10 +105,10 @@ let test_store_nearest_updates () =
   let store = mk_store () in
   ignore
     (Facility_store.open_facility store ~site:2 ~kind:(Facility.Small 1)
-       ~cost:1.0 ~opened_at:0);
+       ~cost:1.0);
   ignore
     (Facility_store.open_facility store ~site:0 ~kind:(Facility.Small 1)
-       ~cost:1.0 ~opened_at:1);
+       ~cost:1.0);
   let fac, d =
     Option.get (Facility_store.nearest_offering store ~commodity:1 ~from:0)
   in
@@ -121,14 +120,13 @@ let test_store_custom_full_counts_as_large () =
   ignore
     (Facility_store.open_facility store ~site:0
        ~kind:(Facility.Custom (Cset.full ~n_commodities:3))
-       ~cost:3.0 ~opened_at:0);
+       ~cost:3.0);
   check_float 1e-9 "counts as large" 0.0 (Facility_store.dist_large store ~from:0)
 
 let test_store_service_accounting () =
   let store = mk_store () in
   ignore
-    (Facility_store.open_facility store ~site:1 ~kind:Facility.Large ~cost:4.0
-       ~opened_at:0);
+    (Facility_store.open_facility store ~site:1 ~kind:Facility.Large ~cost:4.0);
   Facility_store.record_service store ~request_site:0 (Service.To_single 0);
   check_float 1e-9 "assignment" 2.0 (Facility_store.assignment_cost store);
   check_float 1e-9 "total" 6.0 (Facility_store.total_cost store);
@@ -155,14 +153,14 @@ let prop_store_distances =
         Facility_store.create (env_of metric ~n_commodities) ~n_commodities
       in
       let facs = ref [] in
-      for i = 0 to 6 do
+      for _ = 0 to 6 do
         let site = Splitmix.int rng n_sites in
         let kind =
           if Splitmix.bool rng then Facility.Large
           else Facility.Small (Splitmix.int rng n_commodities)
         in
         let f =
-          Facility_store.open_facility store ~site ~kind ~cost:1.0 ~opened_at:i
+          Facility_store.open_facility store ~site ~kind ~cost:1.0
         in
         facs := f :: !facs
       done;
@@ -194,6 +192,51 @@ let prop_store_distances =
         then ok := false
       done;
       !ok)
+
+(* Property: the store is the one request clock. After step i of any
+   registered algorithm on a generated scenario of its family, the store
+   has served i + 1 requests, every facility that step i opened is
+   stamped [opened_at = i], and the snapshot segment taken then covers
+   the store's count. *)
+let prop_store_is_the_request_clock =
+  QCheck.Test.make ~name:"store is the request clock" ~count:40
+    QCheck.small_nat (fun index ->
+      List.for_all
+        (fun family ->
+          let sc =
+            Omflp_check.Scenario.generate ?family ~master_seed:0xC10C ~index ()
+          in
+          let inst = sc.Omflp_check.Scenario.instance in
+          List.for_all
+            (fun (_, (module A : Algo_intf.ALGO)) ->
+              let t =
+                A.create ~seed:sc.Omflp_check.Scenario.algo_seed
+                  (Instance.env inst)
+              in
+              let store = A.store t in
+              let ok = ref true in
+              Array.iteri
+                (fun i r ->
+                  let seen = Facility_store.n_facilities store in
+                  ignore (A.step t r);
+                  if Facility_store.n_requests store <> i + 1 then ok := false;
+                  for id = seen to Facility_store.n_facilities store - 1 do
+                    if (Facility_store.facility store id).opened_at <> i then
+                      ok := false
+                  done;
+                  let _, _, covered =
+                    Snapshot_codec.segment_info (A.snapshot t)
+                  in
+                  if covered <> Facility_store.n_requests store then
+                    ok := false)
+                inst.Instance.requests;
+              !ok)
+            (Registry.of_family (Instance.family inst)))
+        [
+          None;
+          Some Problem_env.Family.Nonmetric_fl;
+          Some Problem_env.Family.Multi_facility_leasing;
+        ])
 
 (* ---------- Registry ---------- *)
 
@@ -365,6 +408,7 @@ let () =
             test_store_custom_full_counts_as_large;
           Alcotest.test_case "service accounting" `Quick test_store_service_accounting;
           QCheck_alcotest.to_alcotest prop_store_distances;
+          QCheck_alcotest.to_alcotest prop_store_is_the_request_clock;
         ] );
       ("registry", [ Alcotest.test_case "registry" `Quick test_registry ]);
       ( "simulator",

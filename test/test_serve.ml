@@ -2104,7 +2104,7 @@ let minor_words_per_call f =
   (Gc.minor_words () -. w0) /. 1000.0
 
 (* The direct codecs allocate little besides what they return: one
-   canonical request parse measured 46 minor words (the scan cursor,
+   canonical request parse measured 31 minor words (the scan cursor,
    the demand list and set, the request and its result; the Minijson
    tree it replaced was about 295), one socket decision line 13 (the
    latency string and the list iterators' closures; every number is
@@ -2132,6 +2132,57 @@ let test_wire_codec_allocation_pinned () =
     (Printf.sprintf "%.1f minor words per decision encode (budget 26)" encode)
     true (encode <= 26.0)
 
+(* ---------- the request clock ---------- *)
+
+(* A base payload ends with the count it covers, a copy of the store's
+   request count. A payload whose copy disagrees with the store it holds
+   is not a state any run wrote; restored, it would stamp its next
+   opening with the wrong request, so restore refuses it by name. *)
+let test_base_count_must_match_store () =
+  let inst, seed = scenario 0 in
+  let env = Instance.env inst in
+  let t = Greedy_baseline.create ~seed env in
+  for i = 0 to 4 do
+    ignore (Greedy_baseline.step t inst.Instance.requests.(i))
+  done;
+  let blob =
+    Omflp_prelude.Snapshot_codec.base ~tag:"omflp.snap.greedy.v3" ~count:5
+      (fun w ->
+        Facility_store.write w (Greedy_baseline.store t);
+        Omflp_prelude.Snapshot_codec.w_int w 6)
+  in
+  expect_failure ~substring:"payload count 6 disagrees with its store"
+    (fun () -> Greedy_baseline.restore env blob)
+
+(* The snapshot header's count is where resume starts the WAL replay; a
+   header that claims more than the state it restores has served would
+   skip requests. Plant a base whose header covers 5 requests over a
+   self-consistent PD-OMFLP state of 4. *)
+let test_resume_refuses_header_count_mismatch () =
+  let inst, _ = scenario 0 in
+  let env = Instance.env inst in
+  with_temp_dir @@ fun dir ->
+  ignore (crash_after ~dir ~snapshot_every:5 5);
+  let t = Pd_omflp.create ~seed:0 env in
+  for i = 0 to 3 do
+    ignore (Pd_omflp.step t inst.Instance.requests.(i))
+  done;
+  write_file
+    (Filename.concat dir "snapshot.bin")
+    (Omflp_prelude.Snapshot_codec.base ~tag:"omflp.snap.pd-omflp.v4" ~count:5
+       (fun w -> Pd_omflp.write w t));
+  expect_failure
+    ~substring:
+      "snapshot header covers 5 requests but the state it restores served 4"
+    (fun () ->
+      let rz =
+        Checkpoint.open_resume ~dir
+          ~n_sites:(Instance.n_sites inst)
+          ~n_commodities:(Instance.n_commodities inst)
+          ~instance_md5:md5
+      in
+      Session.resume ~algo:algo_pd rz env)
+
 let () =
   Alcotest.run "serve"
     [
@@ -2156,6 +2207,8 @@ let () =
             test_cross_family_restore_refused;
           Alcotest.test_case "retired v3 PD blobs refused by name" `Quick
             test_retired_v3_blobs_refused;
+          Alcotest.test_case "base count must match its store" `Quick
+            test_base_count_must_match_store;
         ] );
       ( "wire",
         [
@@ -2207,6 +2260,8 @@ let () =
             `Quick test_stdin_eof_then_resume;
           Alcotest.test_case "seeds past 2^53 are refused by name" `Quick
             test_checkpoint_seed_exact_or_refused;
+          Alcotest.test_case "resume refuses a header count mismatch" `Quick
+            test_resume_refuses_header_count_mismatch;
         ] );
       ( "server",
         [
